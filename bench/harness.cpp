@@ -83,8 +83,7 @@ Harness::Harness(std::string name, int argc, const char* const* argv)
     : name_(std::move(name)), json_path_("BENCH_" + name_ + ".json") {
   try {
     const Cli cli{argc, argv};
-    threads_ = static_cast<unsigned>(
-        cli.get_u64("threads", ThreadPool::default_threads()));
+    threads_ = cli.get_u32("threads", ThreadPool::default_threads());
     if (threads_ < 1) threads_ = 1;
     reps_ = static_cast<std::size_t>(cli.get_u64("reps", 5));
     if (reps_ < 1) reps_ = 1;

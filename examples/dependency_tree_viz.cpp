@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
   using namespace upn;
   try {
     const Cli cli{argc, argv};
-    const auto a = static_cast<std::uint32_t>(cli.get_u64("a", 2));
-    const auto root_index = static_cast<std::uint32_t>(cli.get_u64("root", 0));
+    const auto a = cli.get_u32("a", 2);
+    const auto root_index = cli.get_u32("root", 0);
     const bool dot = cli.has("dot");
 
     const std::uint32_t block_side = 2 * a;

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   using namespace upn;
   try {
     const Cli cli{argc, argv};
-    const auto n = static_cast<std::uint32_t>(cli.get_u64("n", 256));
+    const auto n = cli.get_u32("n", 256);
     Rng rng{cli.get_u64("seed", 3)};
 
     const Graph guest = make_random_regular(n, kGuestDegree, rng);

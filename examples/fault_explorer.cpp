@@ -30,13 +30,13 @@ FaultPlan build_plan(const Cli& cli, const Graph& host) {
   const std::string kind = cli.get("kind", "link");
   const double rate = cli.get_double("rate", 0.1);
   const std::uint64_t seed = cli.get_u64("seed", 0xfa11);
-  const auto step = static_cast<std::uint32_t>(cli.get_u64("step", 0));
+  const auto step = cli.get_u32("step", 0);
   if (kind == "link") return make_uniform_link_faults(host, rate, seed, step);
   if (kind == "node") return make_uniform_node_faults(host, rate, seed, step);
   if (kind == "drop") return make_uniform_drops(host, rate, seed, step);
   if (kind == "region") {
-    const auto center = static_cast<NodeId>(cli.get_u64("center", 0));
-    const auto radius = static_cast<std::uint32_t>(cli.get_u64("radius", 1));
+    const auto center = cli.get_u32("center", 0);
+    const auto radius = cli.get_u32("radius", 1);
     return make_region_fault(host, center, radius, step, seed);
   }
   throw std::invalid_argument{"unknown --kind '" + kind +
@@ -102,7 +102,7 @@ int run_sim_mode(const Cli& cli, const Graph& host) {
   FaultSimOptions options;
   options.emit_protocol = true;
   options.seed = cli.get_u64("seed", 0xfa11);
-  const auto steps = static_cast<std::uint32_t>(cli.get_u64("steps", 3));
+  const auto steps = cli.get_u32("steps", 3);
   const FaultSimResult result = sim.run(steps, options);
 
   Table table{{"quantity", "value"}};

@@ -14,9 +14,9 @@ int main(int argc, char** argv) {
   try {
     const Cli cli{argc, argv};
     PipelineConfig config;
-    config.guest_size_hint = static_cast<std::uint32_t>(cli.get_u64("n", 100));
-    config.butterfly_dimension = static_cast<std::uint32_t>(cli.get_u64("d", 2));
-    config.guest_steps = static_cast<std::uint32_t>(cli.get_u64("steps", 16));
+    config.guest_size_hint = cli.get_u32("n", 100);
+    config.butterfly_dimension = cli.get_u32("d", 2);
+    config.guest_steps = cli.get_u32("steps", 16);
     config.seed = cli.get_u64("seed", 1);
 
     const PipelineReport report = run_paper_pipeline(config);

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     }
 
     if (mode == "generate") {
-      const auto steps = static_cast<std::uint32_t>(cli.get_u64("steps", 4));
+      const auto steps = cli.get_u32("steps", 4);
       const std::string out = cli.get("out", "/tmp/protocol.upnp");
       Rng rng{cli.get_u64("seed", 1)};
       UniversalSimulator sim{guest, host,

@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   using namespace upn;
   try {
     const Cli cli{argc, argv};
-    const auto n = static_cast<std::uint32_t>(cli.get_u64("n", 256));
-    const auto steps = static_cast<std::uint32_t>(cli.get_u64("steps", 8));
+    const auto n = cli.get_u32("n", 256);
+    const auto steps = cli.get_u32("steps", 8);
     Rng rng{cli.get_u64("seed", 1)};
     if (!cli.unused().empty()) {
       std::cerr << "unknown flag --" << cli.unused().front() << "\n";

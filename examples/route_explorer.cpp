@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
   try {
     const Cli cli{argc, argv};
     const Graph host = make_topology(cli.get("host", "butterfly:4"));
-    const auto h = static_cast<std::uint32_t>(cli.get_u64("h", 2));
-    const auto instances = static_cast<std::uint32_t>(cli.get_u64("instances", 3));
+    const auto h = cli.get_u32("h", 2);
+    const auto instances = cli.get_u32("instances", 3);
     const std::string policy_name = cli.get("policy", "greedy");
     const PortModel port_model =
         cli.has("multiport") ? PortModel::kMultiPort : PortModel::kSinglePort;

@@ -1,7 +1,5 @@
 #include "src/core/complete_sim.hpp"
 
-#include <stdexcept>
-
 #include "src/core/embedding.hpp"
 #include "src/util/rng.hpp"
 
@@ -38,10 +36,8 @@ CompleteSimResult run_complete_simulation(std::uint32_t n, const Graph& host,
                                           std::uint32_t guest_steps, RoutingPolicy& policy,
                                           PortModel port_model, std::uint64_t seed,
                                           std::uint64_t pattern_seed) {
-  if (embedding.size() != n) {
-    throw std::invalid_argument{"run_complete_simulation: embedding size mismatch"};
-  }
   const std::uint32_t m = host.num_nodes();
+  validate_embedding(embedding, n, m, "run_complete_simulation");
   const std::uint32_t load = embedding_load(embedding, m);
   SyncRouter router{host, port_model};
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "src/util/contracts.hpp"
 
@@ -22,6 +23,17 @@ std::vector<NodeId> make_random_embedding(std::uint32_t n, std::uint32_t m, Rng&
   UPN_ENSURE(n == 0 || embedding_load(embedding, m) <= (n + m - 1) / m,
              "shuffling must preserve the balanced load bound");
   return embedding;
+}
+
+void validate_embedding(const std::vector<NodeId>& embedding, std::uint32_t n, std::uint32_t m,
+                        const char* who) {
+  // upn-contract-waive(validates caller input; every violation throws std::invalid_argument)
+  if (embedding.size() != n) {
+    throw std::invalid_argument{std::string{who} + ": embedding size != guest size"};
+  }
+  for (const NodeId q : embedding) {
+    if (q >= m) throw std::invalid_argument{std::string{who} + ": embedding target out of range"};
+  }
 }
 
 std::vector<std::vector<NodeId>> invert_embedding(const std::vector<NodeId>& embedding,

@@ -23,6 +23,12 @@ namespace upn {
 [[nodiscard]] std::vector<NodeId> make_random_embedding(std::uint32_t n, std::uint32_t m,
                                                         Rng& rng);
 
+/// The one check every simulator entry point makes before any routing:
+/// throws std::invalid_argument (message prefixed by `who`) unless
+/// `embedding` has n entries, all below m.
+void validate_embedding(const std::vector<NodeId>& embedding, std::uint32_t n, std::uint32_t m,
+                        const char* who);
+
 /// guests_of[q] = guest nodes mapped to host q, ascending.
 [[nodiscard]] std::vector<std::vector<NodeId>> invert_embedding(
     const std::vector<NodeId>& embedding, std::uint32_t m);

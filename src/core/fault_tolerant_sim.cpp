@@ -1,12 +1,10 @@
 #include "src/core/fault_tolerant_sim.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <unordered_map>
+#include <numeric>
 #include <unordered_set>
+#include <utility>
 
-#include "src/compute/machine.hpp"
-#include "src/core/embedding.hpp"
 #include "src/obs/obs.hpp"
 
 namespace upn {
@@ -15,71 +13,36 @@ namespace {
 
 constexpr NodeId kNoSurvivorHost = 0xffffffffu;
 
-/// Emits one protocol step per router step: every successful transfer is a
-/// send plus the mirrored receive of the pebble (P_tag, pebble_time);
-/// dropped transfers emit the send only -- the copy was lost in flight.
-void emit_route_ops(Protocol& protocol, const RouteResult& routed, std::uint32_t pebble_time) {
-  std::size_t cursor = 0;
-  for (std::uint32_t step = 0; step < routed.steps; ++step) {
-    protocol.begin_step();
-    for (; cursor < routed.transfers.size() && routed.transfers[cursor].step == step;
-         ++cursor) {
-      const Transfer& tr = routed.transfers[cursor];
-      const PebbleType pebble{routed.packets[tr.packet].tag, pebble_time};
-      protocol.add(Op{OpKind::kSend, tr.from, pebble, tr.to});
-      if (tr.dropped == 0) {
-        protocol.add(Op{OpKind::kReceive, tr.to, pebble, tr.from});
-      }
-    }
-  }
-}
-
 }  // namespace
 
 FaultTolerantSimulator::FaultTolerantSimulator(const Graph& guest, const Graph& host,
                                                const FaultPlan& plan,
                                                std::vector<NodeId> embedding)
-    : guest_(&guest), host_(&host), plan_(&plan), embedding_(std::move(embedding)) {
-  if (embedding_.size() != guest.num_nodes()) {
-    throw std::invalid_argument{"FaultTolerantSimulator: embedding size != guest size"};
-  }
-  for (const NodeId q : embedding_) {
-    if (q >= host.num_nodes()) {
-      throw std::invalid_argument{"FaultTolerantSimulator: embedding target out of range"};
-    }
-  }
-}
+    : host_(&host),
+      plan_(&plan),
+      driver_(guest, host.num_nodes(), std::move(embedding), "FaultTolerantSimulator") {}
 
 FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
                                            const FaultSimOptions& options) {
   UPN_OBS_SPAN("sim.fault.run");
-  const Graph& guest = *guest_;
-  const Graph& host = *host_;
+  const Graph& guest = driver_.guest();
   const std::uint32_t n = guest.num_nodes();
-  const std::uint32_t m = host.num_nodes();
+  const std::uint32_t m = host_->num_nodes();
 
-  SyncRouter router{host, PortModel::kSinglePort};
+  SyncRouter router{*host_, PortModel::kSinglePort};
 
   FaultSimResult result;
   result.guest_steps = guest_steps;
+  result.load = driver_.load();
   if (options.emit_protocol) result.protocol.emplace(n, m, guest_steps);
 
-  // Host step counter H: the fault plan is evaluated at H, every routing
-  // phase is offset by H, and H is what slowdown is measured from.
-  std::uint32_t H = 0;
-
+  // The driver's elapsed host steps H are the fault clock: the plan is
+  // evaluated at H and every routing phase is offset by H.
+  //
   // The plan as revealed so far (permanent faults quantized to guest-step
   // boundaries; drop windows verbatim).  Rebuilt when new faults activate.
   FaultPlan revealed = plan_->revealed_at(0);
   std::vector<char> host_dead(m, 0);
-
-  auto guests_of = invert_embedding(embedding_, m);
-  auto update_load = [&]() {
-    for (const auto& bucket : guests_of) {
-      result.load = std::max(result.load, static_cast<std::uint32_t>(bucket.size()));
-    }
-  };
-  update_load();
 
   FaultRouteOptions route_opts;
   route_opts.plan = &revealed;
@@ -87,68 +50,42 @@ FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
   route_opts.backoff_base = options.backoff_base;
 
   // Routes `packets` at the current host step, re-injecting lost packets a
-  // bounded number of times.  Returns false when packets remain lost (the
-  // surviving host cannot deliver them).  On success `deliver` has been
-  // called once per packet.
-  auto route_phase = [&](std::vector<Packet> packets, std::uint32_t pebble_time,
-                         auto&& deliver) -> bool {
-    UPN_OBS_SPAN("sim.fault.route");
+  // bounded number of times; packet i delivers relation demand demands[i]
+  // (no `demands`: deliver nothing).  Returns false when packets remain
+  // lost (the surviving host cannot deliver them).
+  auto route_phase = [&](std::vector<Packet> packets, std::vector<std::uint32_t> demands,
+                         std::uint32_t pebble_time) -> bool {
     std::uint32_t attempts = 0;
     while (!packets.empty()) {
       result.packets_routed += packets.size();
       UPN_OBS_COUNT("sim.fault.packets_routed", packets.size());
-      route_opts.step_offset = H;
-      const bool log = options.emit_protocol;
-      const RouteResult routed =
-          router.route_with_faults(std::move(packets), route_opts, options.policy, log);
-      H += routed.steps;
-      result.comm_steps += routed.steps;
+      route_opts.step_offset = driver_.elapsed();
+      const RouteResult routed = router.route_with_faults(std::move(packets), route_opts,
+                                                          options.policy, options.emit_protocol);
+      driver_.count_comm(routed.steps);
       result.retransmissions += routed.retransmissions;
       result.reroutes += routed.reroutes;
-      if (options.emit_protocol) emit_route_ops(*result.protocol, routed, pebble_time);
+      driver_.emit_route(routed, pebble_time);
       packets.clear();
-      for (const Packet& p : routed.packets) {
-        if (p.lost != 0) {
-          Packet retry;
-          retry.src = p.src;
-          retry.dst = p.dst;
-          retry.via = p.dst;
-          retry.payload = p.payload;
-          retry.tag = p.tag;
-          retry.tag2 = p.tag2;
-          packets.push_back(retry);
-        } else {
-          deliver(p);
+      std::vector<std::uint32_t> retry_demands;
+      for (std::size_t i = 0; i < routed.packets.size(); ++i) {
+        const Packet& p = routed.packets[i];
+        if (p.lost == 0) {
+          if (!demands.empty()) driver_.deliver(demands[i], p.payload);
+          continue;
         }
+        Packet retry = p;  // the router resets the delivery state on entry
+        retry.via = p.dst;
+        retry.phase = 1;
+        packets.push_back(retry);
+        if (!demands.empty()) retry_demands.push_back(demands[i]);
       }
+      demands = std::move(retry_demands);
       if (packets.empty()) return true;
       UPN_OBS_COUNT("sim.fault.reinjections", packets.size());
       if (++attempts > options.reinject_attempts) return false;
     }
     return true;
-  };
-
-  // Emits the computation phase of guest time `t` for the given per-host
-  // guest lists; every host generates its pebbles sequentially.
-  auto generate_rounds = [&](const std::vector<std::vector<NodeId>>& lists,
-                             std::uint32_t t) -> std::uint32_t {
-    std::uint32_t rounds = 0;
-    for (const auto& bucket : lists) {
-      rounds = std::max(rounds, static_cast<std::uint32_t>(bucket.size()));
-    }
-    if (options.emit_protocol) {
-      for (std::uint32_t round = 0; round < rounds; ++round) {
-        result.protocol->begin_step();
-        for (std::uint32_t q = 0; q < m; ++q) {
-          if (round < lists[q].size()) {
-            result.protocol->add(Op{OpKind::kGenerate, q, PebbleType{lists[q][round], t}, 0});
-          }
-        }
-      }
-    }
-    H += rounds;
-    result.compute_steps += rounds;
-    return rounds;
   };
 
   // Replays guest times 1..upto for the re-embedded guests in `lost`: their
@@ -158,16 +95,17 @@ FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
     UPN_OBS_SPAN("sim.fault.replay");
     UPN_OBS_COUNT("sim.fault.replays", 1);
     UPN_OBS_HIST("sim.fault.replay_depth", upto);
+    const std::vector<NodeId>& embedding = driver_.embedding();
     std::vector<std::vector<NodeId>> lists(m);
-    for (const NodeId u : lost) lists[embedding_[u]].push_back(u);
+    for (const NodeId u : lost) lists[embedding[u]].push_back(u);
     for (std::uint32_t tau = 1; tau <= upto; ++tau) {
       if (tau >= 2) {  // tau == 1 needs only initial pebbles, held by all
         std::vector<Packet> packets;
         std::unordered_set<std::uint64_t> seen;  // (guest j) -> (dest host)
         for (const NodeId u : lost) {
           for (const NodeId j : guest.neighbors(u)) {
-            const NodeId holder = embedding_[j];
-            const NodeId dest = embedding_[u];
+            const NodeId holder = embedding[j];
+            const NodeId dest = embedding[u];
             if (holder == dest) continue;
             const std::uint64_t key = (static_cast<std::uint64_t>(j) << 32) | dest;
             if (!seen.insert(key).second) continue;
@@ -180,129 +118,81 @@ FaultSimResult FaultTolerantSimulator::run(std::uint32_t guest_steps,
             packets.push_back(p);
           }
         }
-        const std::uint32_t before = result.comm_steps;
-        if (!route_phase(std::move(packets), tau - 1, [](const Packet&) {})) return false;
-        result.replay_steps += result.comm_steps - before;
+        const std::uint32_t before = driver_.elapsed();
+        if (!route_phase(std::move(packets), {}, tau - 1)) return false;
+        result.replay_steps += driver_.elapsed() - before;
       }
-      result.replay_steps += generate_rounds(lists, tau);
+      result.replay_steps += driver_.generate(lists, tau);
     }
     return true;
   };
 
-  // Current guest configurations (time t-1 while simulating step t).
-  std::vector<Config> configs(n), next(n);
-  for (NodeId u = 0; u < n; ++u) configs[u] = initial_config(options.seed, u);
-
-  // received[v] -> (neighbor u -> u's configuration) for the current step.
-  std::vector<std::unordered_map<NodeId, Config>> received(n);
-
-  auto finish = [&](bool completed) -> FaultSimResult {
-    UPN_OBS_SPAN("sim.fault.validate");
-    UPN_OBS_COUNT("sim.fault.replay_steps", result.replay_steps);
-    UPN_OBS_COUNT("sim.fault.fault_epochs", result.fault_epochs);
-    UPN_OBS_COUNT("sim.fault.reembedded_guests", result.reembedded_guests);
-    result.host_steps = result.comm_steps + result.compute_steps;
-    result.slowdown =
-        guest_steps == 0 ? 0.0 : static_cast<double>(result.host_steps) / guest_steps;
-    result.inefficiency = n == 0 ? 0.0 : result.slowdown * m / n;
-    result.completed = completed;
-    if (completed) {
-      const std::vector<Config> reference = run_reference(guest, options.seed, guest_steps);
-      result.configs_match = reference == configs;
-    }
-    return result;
-  };
-
-  for (std::uint32_t t = 1; t <= guest_steps; ++t) {
-    UPN_OBS_STEP(t);
-    // ---- Fault detection at the guest-step boundary. ----
+  // One guest step's communication: detect the faults revealed at the
+  // boundary, heal (re-embed + replay), then the h-h routing of Theorem 2.1
+  // on the surviving host.
+  const auto comm = [&](std::uint32_t t) -> bool {
+    const std::uint32_t now = driver_.elapsed();
     bool new_faults = false;
     for (NodeId q = 0; q < m; ++q) {
-      if (host_dead[q] == 0 && !plan_->node_alive(q, H)) {
+      if (host_dead[q] == 0 && !plan_->node_alive(q, now)) {
         host_dead[q] = 1;
         new_faults = true;
       }
     }
     for (const LinkFault& f : plan_->link_faults()) {
-      if (f.step <= H && revealed.link_alive(f.u, f.v, 0)) new_faults = true;
+      if (f.step <= now && revealed.link_alive(f.u, f.v, 0)) new_faults = true;
     }
     if (new_faults) {
       ++result.fault_epochs;
-      revealed = plan_->revealed_at(H);
+      revealed = plan_->revealed_at(now);
       // Re-embed guests whose host died onto the least-loaded survivors.
+      std::vector<NodeId> embedding = driver_.embedding();
       std::vector<NodeId> lost;
       for (NodeId u = 0; u < n; ++u) {
-        if (host_dead[embedding_[u]] != 0) lost.push_back(u);
+        if (host_dead[embedding[u]] != 0) lost.push_back(u);
       }
       if (!lost.empty()) {
         std::vector<std::uint32_t> load(m, 0);
         for (NodeId u = 0; u < n; ++u) {
-          if (host_dead[embedding_[u]] == 0) ++load[embedding_[u]];
+          if (host_dead[embedding[u]] == 0) ++load[embedding[u]];
         }
         bool any_survivor = false;
         for (NodeId q = 0; q < m; ++q) any_survivor |= host_dead[q] == 0;
-        if (!any_survivor) return finish(false);
+        if (!any_survivor) return false;
         for (const NodeId u : lost) {
           NodeId best = kNoSurvivorHost;
           for (NodeId q = 0; q < m; ++q) {
             if (host_dead[q] != 0) continue;
             if (best == kNoSurvivorHost || load[q] < load[best]) best = q;
           }
-          embedding_[u] = best;
+          embedding[u] = best;
           ++load[best];
         }
-        guests_of = invert_embedding(embedding_, m);
-        update_load();
+        driver_.rebind(std::move(embedding));
+        result.load = std::max(result.load, driver_.load());
         result.reembedded_guests += static_cast<std::uint32_t>(lost.size());
-        if (!replay(lost, t - 1)) return finish(false);
+        if (!replay(lost, t - 1)) return false;
       }
     }
+    std::vector<std::uint32_t> demands(driver_.senders().size());
+    std::iota(demands.begin(), demands.end(), 0u);
+    return route_phase(driver_.packets(), std::move(demands), t - 1);
+  };
+  const DriverTotals totals = driver_.run(
+      guest_steps, options.seed, {"sim.fault.route", "sim.fault.compute", "sim.fault.validate"},
+      result.protocol ? &*result.protocol : nullptr, comm);
 
-    // ---- Phase 1: communication (the h-h routing of Theorem 2.1). ----
-    std::vector<Packet> packets;
-    for (NodeId u = 0; u < n; ++u) {
-      for (const NodeId v : guest.neighbors(u)) {
-        if (embedding_[u] == embedding_[v]) continue;
-        Packet p;
-        p.src = embedding_[u];
-        p.dst = embedding_[v];
-        p.via = p.dst;
-        p.payload = configs[u];
-        p.tag = u;
-        p.tag2 = v;
-        packets.push_back(p);
-      }
-    }
-    for (auto& bucket : received) bucket.clear();
-    if (!route_phase(std::move(packets), t - 1,
-                     [&](const Packet& p) { received[p.tag2].emplace(p.tag, p.payload); })) {
-      return finish(false);
-    }
-
-    // ---- Phase 2: computation (sequential per host, parallel across). ----
-    std::vector<Config> neighbor_configs;
-    neighbor_configs.reserve(guest.max_degree());
-    for (NodeId v = 0; v < n; ++v) {
-      neighbor_configs.clear();
-      for (const NodeId w : guest.neighbors(v)) {
-        if (embedding_[w] == embedding_[v]) {
-          neighbor_configs.push_back(configs[w]);  // local guest, no packet
-        } else {
-          const auto it = received[v].find(w);
-          if (it == received[v].end()) {
-            throw std::logic_error{"FaultTolerantSimulator: missing routed configuration" +
-                                   obs::context_suffix()};
-          }
-          neighbor_configs.push_back(it->second);
-        }
-      }
-      next[v] = next_config(configs[v], neighbor_configs);
-    }
-    configs.swap(next);
-    generate_rounds(guests_of, t);
-  }
-
-  return finish(true);
+  result.comm_steps = totals.comm_steps;
+  result.compute_steps = totals.compute_steps;
+  result.host_steps = totals.host_steps;
+  result.slowdown = totals.slowdown;
+  result.inefficiency = totals.inefficiency;
+  result.completed = totals.completed;
+  result.configs_match = totals.configs_match;
+  UPN_OBS_COUNT("sim.fault.replay_steps", result.replay_steps);
+  UPN_OBS_COUNT("sim.fault.fault_epochs", result.fault_epochs);
+  UPN_OBS_COUNT("sim.fault.reembedded_guests", result.reembedded_guests);
+  return result;
 }
 
 }  // namespace upn

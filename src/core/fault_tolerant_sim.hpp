@@ -26,6 +26,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/core/guest_driver.hpp"
 #include "src/fault/fault_plan.hpp"
 #include "src/pebble/protocol.hpp"
 #include "src/routing/router.hpp"
@@ -77,13 +78,14 @@ class FaultTolerantSimulator {
   [[nodiscard]] FaultSimResult run(std::uint32_t guest_steps,
                                    const FaultSimOptions& options = {});
 
-  [[nodiscard]] const std::vector<NodeId>& embedding() const noexcept { return embedding_; }
+  [[nodiscard]] const std::vector<NodeId>& embedding() const noexcept {
+    return driver_.embedding();
+  }
 
  private:
-  const Graph* guest_;
   const Graph* host_;
   const FaultPlan* plan_;
-  std::vector<NodeId> embedding_;
+  GuestDriver driver_;
 };
 
 }  // namespace upn

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "src/compute/machine.hpp"
 #include "src/core/embedding.hpp"
-#include "src/routing/hh_problem.hpp"
+#include "src/core/guest_driver.hpp"
+#include "src/obs/obs.hpp"
 #include "src/sorting/bitonic.hpp"
 #include "src/sorting/sort_route.hpp"
 #include "src/util/math.hpp"
@@ -18,19 +17,15 @@ GalilPaulCost galil_paul_step_cost(const Graph& guest, std::uint32_t m) {
   const auto sorter_size = static_cast<std::uint32_t>(next_power_of_two(m));
   const ComparatorNetwork sorter = make_bitonic_sorter(std::max(2u, sorter_size));
 
-  const std::vector<NodeId> embedding = make_block_embedding(guest.num_nodes(), m);
-  const HhProblem step_relation = guest_step_relation(guest, embedding, m);
-  HhProblem relation{sorter.wires()};
-  for (const Demand& d : step_relation.demands()) {
-    relation.add(d.src, d.dst);
-  }
-  const SortRouteStats stats = route_relation_by_sorting(relation, sorter);
+  const GuestDriver driver{guest, m, make_block_embedding(guest.num_nodes(), m),
+                          "galil_paul_step_cost"};
+  const SortRouteStats stats =
+      route_relation_by_sorting(driver.host_problem(sorter.wires()), sorter);
 
   GalilPaulCost cost;
   cost.rounds = stats.rounds;
   cost.sorter_depth = sorter.depth();
-  cost.steps_per_guest_step =
-      stats.comparator_steps + embedding_load(embedding, m);
+  cost.steps_per_guest_step = stats.comparator_steps + driver.load();
   cost.slowdown = static_cast<double>(cost.steps_per_guest_step);
   cost.delivered = stats.delivered;
   return cost;
@@ -39,82 +34,49 @@ GalilPaulCost galil_paul_step_cost(const Graph& guest, std::uint32_t m) {
 GalilPaulSimResult run_galil_paul(const Graph& guest, std::uint32_t m,
                                   std::uint32_t guest_steps, std::uint64_t seed) {
   if (m == 0) throw std::invalid_argument{"run_galil_paul: m must be positive"};
-  const std::uint32_t n = guest.num_nodes();
+  UPN_OBS_SPAN("sim.galil_paul.run");
   const auto wires = std::max(2u, static_cast<std::uint32_t>(next_power_of_two(m)));
   const ComparatorNetwork sorter = make_bitonic_sorter(wires);
-  const std::vector<NodeId> embedding = make_block_embedding(n, m);
-  const std::uint32_t load = embedding_load(embedding, m);
+  GuestDriver driver{guest, m, make_block_embedding(guest.num_nodes(), m), "run_galil_paul"};
+  const HhProblem relation = driver.host_problem(wires);
 
-  // The per-step relation and the sender/receiver of each demand are fixed.
-  HhProblem relation{wires};
-  std::vector<NodeId> senders, receivers;
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : guest.neighbors(u)) {
-      if (embedding[u] == embedding[v]) continue;
-      relation.add(embedding[u], embedding[v]);
-      senders.push_back(u);
-      receivers.push_back(v);
-    }
+  // Payload d is the sending guest of demand d: the sort network physically
+  // moves these records to the destination host.  The multiset of senders
+  // each host must receive is fixed, so it is computed once.
+  std::vector<std::uint64_t> senders;
+  std::vector<std::vector<std::uint64_t>> expected(wires);
+  for (std::size_t d = 0; d < driver.senders().size(); ++d) {
+    senders.push_back(driver.senders()[d]);
+    expected[driver.embedding()[driver.receivers()[d]]].push_back(driver.senders()[d]);
   }
+  for (auto& want : expected) std::sort(want.begin(), want.end());
+
+  const DriverTotals totals = driver.run(
+      guest_steps, seed,
+      {"sim.galil_paul.route", "sim.galil_paul.compute", "sim.galil_paul.validate"}, nullptr,
+      [&](std::uint32_t) {
+        SortRouteDelivery delivery = deliver_relation_by_sorting(relation, senders, sorter);
+        if (!delivery.stats.delivered) {
+          throw std::logic_error{"run_galil_paul: sort routing failed to deliver"};
+        }
+        // Only a physically correct delivery justifies handing the
+        // configurations over.
+        for (std::uint32_t q = 0; q < wires; ++q) {
+          std::sort(delivery.delivered[q].begin(), delivery.delivered[q].end());
+          if (delivery.delivered[q] != expected[q]) {
+            throw std::logic_error{"run_galil_paul: sort routing delivered wrong records"};
+          }
+        }
+        driver.deliver_all();
+        driver.count_comm(static_cast<std::uint32_t>(delivery.stats.comparator_steps));
+        return true;
+      });
 
   GalilPaulSimResult result;
   result.guest_steps = guest_steps;
-  std::vector<Config> configs(n), next(n);
-  for (NodeId u = 0; u < n; ++u) configs[u] = initial_config(seed, u);
-  std::vector<std::unordered_map<NodeId, Config>> received(n);
-
-  for (std::uint32_t t = 1; t <= guest_steps; ++t) {
-    // Payload d encodes (sending guest, its configuration) -- the sort
-    // network physically moves these records to the destination host.
-    std::vector<std::uint64_t> payloads(senders.size());
-    for (std::size_t d = 0; d < senders.size(); ++d) payloads[d] = senders[d];
-    const SortRouteDelivery delivery =
-        deliver_relation_by_sorting(relation, payloads, sorter);
-    if (!delivery.stats.delivered) {
-      throw std::logic_error{"run_galil_paul: sort routing failed to deliver"};
-    }
-    result.host_steps += delivery.stats.comparator_steps + load;
-
-    // Cross-check the physical delivery: the multiset of sender ids that
-    // the sorting network dropped at each host must equal the demand
-    // list's.  Only then is the configs hand-off below justified.
-    {
-      std::vector<std::vector<std::uint64_t>> expected(wires);
-      for (std::size_t d = 0; d < senders.size(); ++d) {
-        expected[embedding[receivers[d]]].push_back(senders[d]);
-      }
-      for (std::uint32_t host_node = 0; host_node < wires; ++host_node) {
-        auto got = delivery.delivered[host_node];
-        auto want = expected[host_node];
-        std::sort(got.begin(), got.end());
-        std::sort(want.begin(), want.end());
-        if (got != want) {
-          throw std::logic_error{"run_galil_paul: sort routing delivered wrong records"};
-        }
-      }
-    }
-    for (auto& bucket : received) bucket.clear();
-    for (std::size_t d = 0; d < senders.size(); ++d) {
-      received[receivers[d]].emplace(senders[d], configs[senders[d]]);
-    }
-    std::vector<Config> neighbor_configs;
-    neighbor_configs.reserve(guest.max_degree());
-    for (NodeId v = 0; v < n; ++v) {
-      neighbor_configs.clear();
-      for (const NodeId w : guest.neighbors(v)) {
-        if (embedding[w] == embedding[v]) {
-          neighbor_configs.push_back(configs[w]);
-        } else {
-          neighbor_configs.push_back(received[v].at(w));
-        }
-      }
-      next[v] = next_config(configs[v], neighbor_configs);
-    }
-    configs.swap(next);
-  }
-  result.slowdown =
-      guest_steps == 0 ? 0.0 : static_cast<double>(result.host_steps) / guest_steps;
-  result.configs_match = run_reference(guest, seed, guest_steps) == configs;
+  result.host_steps = totals.host_steps;
+  result.slowdown = totals.slowdown;
+  result.configs_match = totals.configs_match;
   return result;
 }
 

@@ -1,10 +1,9 @@
 #include "src/core/offline_universal.hpp"
 
 #include <stdexcept>
-#include <unordered_map>
 
-#include "src/compute/machine.hpp"
-#include "src/core/embedding.hpp"
+#include "src/core/guest_driver.hpp"
+#include "src/obs/obs.hpp"
 #include "src/routing/offline_butterfly.hpp"
 #include "src/topology/butterfly.hpp"
 
@@ -14,74 +13,43 @@ OfflineUniversalResult run_offline_universal(const Graph& guest,
                                              std::uint32_t butterfly_dimension,
                                              const std::vector<NodeId>& embedding,
                                              std::uint32_t guest_steps, std::uint64_t seed) {
+  UPN_OBS_SPAN("sim.offline.run");
   const ButterflyLayout layout{butterfly_dimension, /*wrapped=*/false};
-  const std::uint32_t n = guest.num_nodes();
-  const std::uint32_t m = layout.num_nodes();
-  if (embedding.size() != n) {
-    throw std::invalid_argument{"run_offline_universal: embedding size != guest size"};
-  }
-
-  // The communication relation is per-(G, f) fixed: demand d carries the
-  // configuration of guest `senders[d]` to the host of `receivers[d]`.
-  HhProblem relation{m};
-  std::vector<NodeId> senders, receivers;
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : guest.neighbors(u)) {
-      if (embedding[u] == embedding[v]) continue;
-      relation.add(embedding[u], embedding[v]);
-      senders.push_back(u);
-      receivers.push_back(v);
+  GuestDriver driver{guest, layout.num_nodes(), embedding, "run_offline_universal"};
+  // Schedule once, replay every step ("known in advance").  The schedule's
+  // packet index d is the d-th demand of the driver's relation.
+  const OfflineSchedule schedule = [&] {
+    UPN_OBS_SPAN("sim.offline.schedule");
+    const HhProblem relation = driver.host_problem(layout.num_nodes());
+    OfflineSchedule built = route_relation_offline(butterfly_dimension, relation);
+    if (!validate_schedule(built, relation)) {
+      throw std::logic_error{"run_offline_universal: schedule failed validation"};
     }
-  }
-  // Schedule once, replay every step ("known in advance").
-  const OfflineSchedule schedule = route_relation_offline(butterfly_dimension, relation);
-  if (!validate_schedule(schedule, relation)) {
-    throw std::logic_error{"run_offline_universal: schedule failed validation"};
-  }
-  const std::uint32_t load = embedding_load(embedding, m);
+    return built;
+  }();
+
+  // Delivery is by construction of the validated schedule, so the step's
+  // payloads are handed over directly.
+  const DriverTotals totals = driver.run(
+      guest_steps, seed, {"sim.offline.route", "sim.offline.compute", "sim.offline.validate"},
+      nullptr, [&](std::uint32_t) {
+        driver.deliver_all();
+        driver.count_comm(schedule.num_steps);
+        return true;
+      });
 
   OfflineUniversalResult result;
   result.guest_steps = guest_steps;
   result.schedule_steps = schedule.num_steps;
   result.num_batches = schedule.num_batches;
-
-  std::vector<Config> configs(n), next(n);
-  for (NodeId u = 0; u < n; ++u) configs[u] = initial_config(seed, u);
-  std::vector<std::unordered_map<NodeId, Config>> received(n);
-
-  for (std::uint32_t t = 1; t <= guest_steps; ++t) {
-    // The schedule's packet index d is the d-th demand; its payload is the
-    // current configuration of senders[d].  Delivery is by construction of
-    // the validated schedule, so we can hand the payload over directly.
-    for (auto& bucket : received) bucket.clear();
-    for (std::size_t d = 0; d < senders.size(); ++d) {
-      received[receivers[d]].emplace(senders[d], configs[senders[d]]);
-    }
-    std::vector<Config> neighbor_configs;
-    neighbor_configs.reserve(guest.max_degree());
-    for (NodeId v = 0; v < n; ++v) {
-      neighbor_configs.clear();
-      for (const NodeId w : guest.neighbors(v)) {
-        if (embedding[w] == embedding[v]) {
-          neighbor_configs.push_back(configs[w]);
-        } else {
-          neighbor_configs.push_back(received[v].at(w));
-        }
-      }
-      next[v] = next_config(configs[v], neighbor_configs);
-    }
-    configs.swap(next);
-  }
-
-  result.compute_steps = load;
-  result.host_steps = guest_steps * (schedule.num_steps + load);
-  result.host_steps_single_port = guest_steps * (2 * schedule.num_steps + load);
-  result.slowdown =
-      guest_steps == 0 ? 0.0 : static_cast<double>(result.host_steps) / guest_steps;
+  result.compute_steps = driver.load();
+  result.host_steps = totals.host_steps;
+  result.host_steps_single_port = totals.host_steps + guest_steps * schedule.num_steps;
+  result.slowdown = totals.slowdown;
   result.slowdown_single_port =
       guest_steps == 0 ? 0.0
                        : static_cast<double>(result.host_steps_single_port) / guest_steps;
-  result.configs_match = run_reference(guest, seed, guest_steps) == configs;
+  result.configs_match = totals.configs_match;
   return result;
 }
 

@@ -1,11 +1,7 @@
 #include "src/core/online_adaptive_sim.hpp"
 
-#include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
-#include "src/compute/machine.hpp"
-#include "src/core/embedding.hpp"
 #include "src/obs/obs.hpp"
 #include "src/util/contracts.hpp"
 
@@ -14,21 +10,17 @@ namespace upn {
 OnlineAdaptiveSimulator::OnlineAdaptiveSimulator(const Graph& guest, const Graph& host,
                                                  std::vector<NodeId> embedding,
                                                  const FaultPlan& plan)
-    : guest_(&guest), host_(&host), plan_(&plan), embedding_(std::move(embedding)) {
-  UPN_OBS_SPAN("sim.online.embed");
-  if (embedding_.size() != guest.num_nodes()) {
-    throw std::invalid_argument{"OnlineAdaptiveSimulator: embedding size != guest size"};
-  }
-  load_ = embedding_load(embedding_, host.num_nodes());
-  UPN_ENSURE(static_cast<std::uint64_t>(load_) * host.num_nodes() >= guest.num_nodes(),
-             "embedding load must cover all guests");
-}
+    : host_(&host),
+      plan_(&plan),
+      driver_([&] {
+        UPN_OBS_SPAN("sim.online.embed");
+        return GuestDriver{guest, host.num_nodes(), std::move(embedding),
+                           "OnlineAdaptiveSimulator"};
+      }()) {}
 
 OnlineAdaptiveSimResult OnlineAdaptiveSimulator::run(std::uint32_t guest_steps,
                                                      const OnlineAdaptiveSimOptions& options) {
   UPN_OBS_SPAN("sim.online.run");
-  const Graph& guest = *guest_;
-  const std::uint32_t n = guest.num_nodes();
 
   // One PERSISTENT router for the whole run: tables learned during guest
   // step t keep serving step t+1, and the fault clock advances continuously
@@ -38,7 +30,7 @@ OnlineAdaptiveSimResult OnlineAdaptiveSimulator::run(std::uint32_t guest_steps,
 
   OnlineAdaptiveSimResult result;
   result.guest_steps = guest_steps;
-  result.load = load_;
+  result.load = driver_.load();
 
   {
     UPN_OBS_SPAN("sim.online.warmup");
@@ -48,97 +40,41 @@ OnlineAdaptiveSimResult OnlineAdaptiveSimulator::run(std::uint32_t guest_steps,
     UPN_OBS_COUNT("sim.online.warmup_rounds", warmup.rounds);
   }
 
-  std::vector<Config> configs(n), next(n);
-  for (NodeId u = 0; u < n; ++u) configs[u] = initial_config(options.seed, u);
-
-  // last_known[v] -> (neighbor u -> the latest configuration of u that v's
-  // host received).  Seeded with the initial configurations -- guests boot
-  // knowing their neighbors' start state -- so a stale read always has
-  // SOMETHING to fall back on and degradation is gradual, not a crash.
-  std::vector<std::unordered_map<NodeId, Config>> last_known(n);
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId w : guest.neighbors(v)) {
-      if (embedding_[v] != embedding_[w]) {
-        last_known[v].emplace(w, initial_config(options.seed, w));
-      }
+  // Communication over the adapting tables.  A packet churn eats leaves its
+  // inbox slot holding the last configuration that edge delivered (the
+  // initial one at worst): the receiver's read of it is a STALE READ.
+  const auto comm = [&](std::uint32_t) {
+    std::vector<Packet> packets = driver_.packets();
+    result.packets_routed += packets.size();
+    UPN_OBS_COUNT("sim.online.packets_routed", packets.size());
+    if (packets.empty()) return true;
+    const OnlineRouteResult routed = router.route(std::move(packets), options.max_comm_steps);
+    driver_.count_comm(routed.steps);
+    result.packets_lost += routed.lost;
+    UPN_OBS_COUNT("sim.online.comm_steps", routed.steps);
+    for (std::size_t d = 0; d < routed.packets.size(); ++d) {
+      if (routed.packets[d].lost == 0) driver_.deliver(d, routed.packets[d].payload);
     }
-  }
-
-  for (std::uint32_t t = 1; t <= guest_steps; ++t) {
-    UPN_OBS_STEP(t);
-    // ---- Phase 1: communication over the adapting tables. ----
-    {
-      UPN_OBS_SPAN("sim.online.route");
-      std::vector<Packet> packets;
-      for (NodeId u = 0; u < n; ++u) {
-        for (const NodeId v : guest.neighbors(u)) {
-          if (embedding_[u] == embedding_[v]) continue;
-          Packet p;
-          p.src = embedding_[u];
-          p.dst = embedding_[v];
-          p.via = p.dst;
-          p.payload = configs[u];
-          p.tag = u;
-          p.tag2 = v;
-          packets.push_back(p);
-        }
-      }
-      result.packets_routed += packets.size();
-      UPN_OBS_COUNT("sim.online.packets_routed", packets.size());
-      if (!packets.empty()) {
-        const OnlineRouteResult routed =
-            router.route(std::move(packets), options.max_comm_steps);
-        result.comm_steps += routed.steps;
-        result.packets_lost += routed.lost;
-        UPN_OBS_COUNT("sim.online.comm_steps", routed.steps);
-        for (const Packet& p : routed.packets) {
-          if (p.lost == 0) last_known[p.tag2][p.tag] = p.payload;
-        }
-      }
-    }
-
-    // ---- Phase 2: computation; missing payloads become stale reads. ----
-    UPN_OBS_SPAN("sim.online.compute");
-    std::vector<Config> neighbor_configs;
-    neighbor_configs.reserve(guest.max_degree());
-    for (NodeId v = 0; v < n; ++v) {
-      neighbor_configs.clear();
-      for (const NodeId w : guest.neighbors(v)) {
-        if (embedding_[w] == embedding_[v]) {
-          neighbor_configs.push_back(configs[w]);  // local guest, no packet
-        } else {
-          // last_known was refreshed above iff w's packet survived churn;
-          // otherwise this read is stale by construction.  A delivered
-          // packet carries configs[w] from this step, so counting "not
-          // refreshed this step" is exact, and lost-packet accounting
-          // already told us how many refreshes were missing.
-          neighbor_configs.push_back(last_known[v].at(w));
-        }
-      }
-      next[v] = next_config(configs[v], neighbor_configs);
-    }
-    configs.swap(next);
-    result.compute_steps += load_;
-    UPN_OBS_COUNT("sim.online.compute_steps", load_);
-  }
+    return true;
+  };
+  const DriverTotals totals =
+      driver_.run(guest_steps, options.seed,
+                  {"sim.online.route", "sim.online.compute", "sim.online.validate"}, nullptr, comm);
 
   // Every lost packet denied exactly one (receiver, step) refresh, so the
   // loss count IS the stale-read count.
   result.stale_reads = result.packets_lost;
-  UPN_OBS_COUNT("sim.online.stale_reads", result.stale_reads);
-  UPN_OBS_COUNT("sim.online.packets_lost", result.packets_lost);
-
-  result.host_steps = result.comm_steps + result.compute_steps;
-  result.slowdown =
-      guest_steps == 0 ? 0.0 : static_cast<double>(result.host_steps) / guest_steps;
-  result.inefficiency = n == 0 ? 0.0 : result.slowdown * host_->num_nodes() / n;
-
-  // ---- End-to-end verification against the direct execution. ----
-  UPN_OBS_SPAN("sim.online.validate");
-  const std::vector<Config> reference = run_reference(guest, options.seed, guest_steps);
-  result.configs_match = reference == configs;
+  result.comm_steps = totals.comm_steps;
+  result.compute_steps = totals.compute_steps;
+  result.host_steps = totals.host_steps;
+  result.slowdown = totals.slowdown;
+  result.inefficiency = totals.inefficiency;
+  result.configs_match = totals.configs_match;
   UPN_ENSURE(result.stale_reads > 0 || guest_steps == 0 || result.configs_match,
              "with every packet delivered the online regime must be exact");
+  UPN_OBS_COUNT("sim.online.compute_steps", totals.compute_steps);
+  UPN_OBS_COUNT("sim.online.stale_reads", result.stale_reads);
+  UPN_OBS_COUNT("sim.online.packets_lost", result.packets_lost);
   UPN_OBS_COUNT("sim.online.runs", 1);
   return result;
 }

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/core/guest_driver.hpp"
 #include "src/fault/fault_plan.hpp"
 #include "src/routing/online/online_router.hpp"
 #include "src/topology/graph.hpp"
@@ -63,14 +64,14 @@ class OnlineAdaptiveSimulator {
   [[nodiscard]] OnlineAdaptiveSimResult run(std::uint32_t guest_steps,
                                             const OnlineAdaptiveSimOptions& options = {});
 
-  [[nodiscard]] const std::vector<NodeId>& embedding() const noexcept { return embedding_; }
+  [[nodiscard]] const std::vector<NodeId>& embedding() const noexcept {
+    return driver_.embedding();
+  }
 
  private:
-  const Graph* guest_;
   const Graph* host_;
   const FaultPlan* plan_;
-  std::vector<NodeId> embedding_;
-  std::uint32_t load_;
+  GuestDriver driver_;
 };
 
 }  // namespace upn

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/core/embedding.hpp"
+#include "src/core/guest_driver.hpp"
 #include "src/routing/offline_butterfly.hpp"
 #include "src/topology/butterfly.hpp"
 
@@ -45,26 +45,14 @@ OfflineProtocolResult make_offline_universal_protocol(const Graph& guest,
   const ButterflyLayout layout{butterfly_dimension, /*wrapped=*/false};
   const std::uint32_t n = guest.num_nodes();
   const std::uint32_t m = layout.num_nodes();
-  if (embedding.size() != n) {
-    throw std::invalid_argument{"make_offline_universal_protocol: embedding size mismatch"};
-  }
-
-  // The fixed per-step relation: demand d ships guest senders[d]'s pebble.
-  HhProblem relation{m};
-  std::vector<NodeId> senders;
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : guest.neighbors(u)) {
-      if (embedding[u] == embedding[v]) continue;
-      relation.add(embedding[u], embedding[v]);
-      senders.push_back(u);
-    }
-  }
+  // The fixed per-step relation: demand d (the schedule's packet d) ships
+  // the pebble of guest senders()[d].
+  const GuestDriver driver{guest, m, embedding, "make_offline_universal_protocol"};
+  const HhProblem relation = driver.host_problem(m);
   const OfflineSchedule schedule = route_relation_offline(butterfly_dimension, relation);
   if (!validate_schedule(schedule, relation)) {
     throw std::logic_error{"make_offline_universal_protocol: invalid schedule"};
   }
-  const auto guests_of = invert_embedding(embedding, m);
-  const std::uint32_t load = embedding_load(embedding, m);
 
   // Pre-split every multiport step into colored single-port sub-steps; the
   // split is schedule-wide, so compute it once.
@@ -90,34 +78,26 @@ OfflineProtocolResult make_offline_universal_protocol(const Graph& guest,
   }
 
   OfflineProtocolResult result{Protocol{n, m, guest_steps}, schedule.num_steps,
-                               single_port_steps + load, 0.0};
+                               single_port_steps + driver.load(), 0.0};
   result.expansion_factor =
       schedule.num_steps == 0
           ? 1.0
           : static_cast<double>(single_port_steps) / schedule.num_steps;
 
   for (std::uint32_t t = 1; t <= guest_steps; ++t) {
-    // Communication: replay the colored schedule; demand d carries the
-    // pebble (senders[d], t-1).
+    // Communication: replay the colored schedule.
     for (const auto& by_color : sub_steps) {
       for (const auto& matching : by_color) {
         result.protocol.begin_step();
         for (const ScheduledMove* move : matching) {
-          const PebbleType pebble{senders[move->packet], t - 1};
+          const PebbleType pebble{driver.senders()[move->packet], t - 1};
           result.protocol.add(Op{OpKind::kSend, move->from, pebble, move->to});
           result.protocol.add(Op{OpKind::kReceive, move->to, pebble, move->from});
         }
       }
     }
     // Computation: one generate per hosted guest, round-robin across hosts.
-    for (std::uint32_t round = 0; round < load; ++round) {
-      result.protocol.begin_step();
-      for (std::uint32_t q = 0; q < m; ++q) {
-        if (round < guests_of[q].size()) {
-          result.protocol.add(Op{OpKind::kGenerate, q, PebbleType{guests_of[q][round], t}, 0});
-        }
-      }
-    }
+    emit_generate_rounds(&result.protocol, driver.guests_of(), t);
   }
   return result;
 }

@@ -1,10 +1,8 @@
 #include "src/core/scheduled_universal.hpp"
 
 #include <stdexcept>
-#include <unordered_map>
 
-#include "src/compute/machine.hpp"
-#include "src/core/embedding.hpp"
+#include "src/core/guest_driver.hpp"
 #include "src/obs/obs.hpp"
 #include "src/routing/path_schedule.hpp"
 
@@ -14,79 +12,43 @@ ScheduledUniversalResult run_scheduled_universal(const Graph& guest, const Graph
                                                  const std::vector<NodeId>& embedding,
                                                  std::uint32_t guest_steps,
                                                  std::uint64_t seed) {
-  const std::uint32_t n = guest.num_nodes();
-  const std::uint32_t m = host.num_nodes();
-  if (embedding.size() != n) {
-    throw std::invalid_argument{"run_scheduled_universal: embedding size mismatch"};
-  }
-
   UPN_OBS_SPAN("sim.scheduled.run");
-  HhProblem relation{m};
-  std::vector<NodeId> senders, receivers;
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : guest.neighbors(u)) {
-      if (embedding[u] == embedding[v]) continue;
-      relation.add(embedding[u], embedding[v]);
-      senders.push_back(u);
-      receivers.push_back(v);
-    }
-  }
+  GuestDriver driver{guest, host.num_nodes(), embedding, "run_scheduled_universal"};
+  const HhProblem relation = driver.host_problem(host.num_nodes());
   const PathSchedule schedule = [&] {
     UPN_OBS_SPAN("sim.scheduled.schedule");
-    return schedule_paths(host, relation);
-  }();
-  {
-    UPN_OBS_SPAN("sim.scheduled.validate");
-    if (!validate_path_schedule(host, relation, schedule)) {
+    PathSchedule built = schedule_paths(host, relation);
+    if (!validate_path_schedule(host, relation, built)) {
       throw std::logic_error{"run_scheduled_universal: schedule failed validation" +
                              obs::context_suffix()};
     }
-  }
-  const std::uint32_t load = embedding_load(embedding, m);
+    return built;
+  }();
   UPN_OBS_COUNT("sim.scheduled.demands", relation.size());
   UPN_OBS_GAUGE_MAX("sim.scheduled.congestion", schedule.congestion);
   UPN_OBS_GAUGE_MAX("sim.scheduled.dilation", schedule.dilation);
   UPN_OBS_GAUGE_MAX("sim.scheduled.makespan", schedule.makespan);
+
+  // Delivery is by the validated schedule: every demand arrives within its
+  // makespan, so the step's payloads are handed over directly.
+  const DriverTotals totals = driver.run(
+      guest_steps, seed,
+      {"sim.scheduled.route", "sim.scheduled.compute", "sim.scheduled.validate"}, nullptr,
+      [&](std::uint32_t) {
+        driver.deliver_all();
+        driver.count_comm(schedule.makespan);
+        return true;
+      });
 
   ScheduledUniversalResult result;
   result.guest_steps = guest_steps;
   result.schedule_steps = schedule.makespan;
   result.congestion = schedule.congestion;
   result.dilation = schedule.dilation;
-  result.compute_steps = load;
-
-  std::vector<Config> configs(n), next(n);
-  for (NodeId u = 0; u < n; ++u) configs[u] = initial_config(seed, u);
-  std::vector<std::unordered_map<NodeId, Config>> received(n);
-  std::vector<Config> neighbor_configs;
-  neighbor_configs.reserve(guest.max_degree());
-
-  UPN_OBS_SPAN("sim.scheduled.compute");
-  for (std::uint32_t t = 1; t <= guest_steps; ++t) {
-    UPN_OBS_STEP(t);
-    // Delivery is by the validated schedule: demand d carries senders[d]'s
-    // configuration to receivers[d]'s host.
-    for (auto& bucket : received) bucket.clear();
-    for (std::size_t d = 0; d < senders.size(); ++d) {
-      received[receivers[d]].emplace(senders[d], configs[senders[d]]);
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      neighbor_configs.clear();
-      for (const NodeId w : guest.neighbors(v)) {
-        if (embedding[w] == embedding[v]) {
-          neighbor_configs.push_back(configs[w]);
-        } else {
-          neighbor_configs.push_back(received[v].at(w));
-        }
-      }
-      next[v] = next_config(configs[v], neighbor_configs);
-    }
-    configs.swap(next);
-  }
-  result.host_steps = guest_steps * (schedule.makespan + load);
-  result.slowdown =
-      guest_steps == 0 ? 0.0 : static_cast<double>(result.host_steps) / guest_steps;
-  result.configs_match = run_reference(guest, seed, guest_steps) == configs;
+  result.compute_steps = driver.load();
+  result.host_steps = totals.host_steps;
+  result.slowdown = totals.slowdown;
+  result.configs_match = totals.configs_match;
   return result;
 }
 

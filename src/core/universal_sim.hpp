@@ -26,7 +26,7 @@
 #include <optional>
 #include <vector>
 
-#include "src/compute/machine.hpp"
+#include "src/core/guest_driver.hpp"
 #include "src/pebble/protocol.hpp"
 #include "src/routing/router.hpp"
 #include "src/topology/graph.hpp"
@@ -68,14 +68,13 @@ class UniversalSimulator {
   [[nodiscard]] UniversalSimResult run(std::uint32_t guest_steps,
                                        const UniversalSimOptions& options = {});
 
-  [[nodiscard]] const std::vector<NodeId>& embedding() const noexcept { return embedding_; }
+  [[nodiscard]] const std::vector<NodeId>& embedding() const noexcept {
+    return driver_.embedding();
+  }
 
  private:
-  const Graph* guest_;
   const Graph* host_;
-  std::vector<NodeId> embedding_;
-  std::vector<std::vector<NodeId>> guests_of_;
-  std::uint32_t load_;
+  GuestDriver driver_;
   std::unique_ptr<GreedyPolicy> default_policy_;  ///< lazy, shared across runs
 };
 

@@ -1,6 +1,11 @@
 #include "src/util/cli.hpp"
 
+#include <charconv>
+#include <limits>
 #include <stdexcept>
+#include <system_error>
+
+#include "src/util/contracts.hpp"
 
 namespace upn {
 
@@ -38,7 +43,27 @@ std::uint64_t Cli::get_u64(const std::string& name, std::uint64_t fallback) cons
   queried_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stoull(it->second);
+  const std::string& text = it->second;
+  std::uint64_t value = 0;
+  const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error == std::errc::result_out_of_range) {
+    throw std::invalid_argument{"Cli: --" + name + " is out of range: '" + text + "'"};
+  }
+  if (text.empty() || error != std::errc{} || end != text.data() + text.size()) {
+    throw std::invalid_argument{"Cli: --" + name + " expects an unsigned integer, got '" +
+                                text + "'"};
+  }
+  return value;
+}
+
+std::uint32_t Cli::get_u32(const std::string& name, std::uint32_t fallback) const {
+  const std::uint64_t value = get_u64(name, fallback);
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument{"Cli: --" + name + " is out of range: " +
+                                std::to_string(value)};
+  }
+  UPN_ENSURE(value <= std::numeric_limits<std::uint32_t>::max());
+  return static_cast<std::uint32_t>(value);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {

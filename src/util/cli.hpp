@@ -18,7 +18,11 @@ class Cli {
 
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name, std::string fallback) const;
+  /// Unsigned integer flags: digits only.  A sign, trailing characters, an
+  /// empty value, or a value past the type's range throws
+  /// std::invalid_argument.
   [[nodiscard]] std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;
+  [[nodiscard]] std::uint32_t get_u32(const std::string& name, std::uint32_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
 
   /// Names that were provided but never queried; used to reject typos.

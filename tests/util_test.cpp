@@ -4,6 +4,8 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "src/util/cli.hpp"
 #include "src/util/math.hpp"
@@ -201,6 +203,33 @@ TEST(Cli, DefaultsApply) {
   EXPECT_EQ(cli.get_u64("n", 42), 42u);
   EXPECT_DOUBLE_EQ(cli.get_double("alpha", 0.5), 0.5);
   EXPECT_EQ(cli.get("name", "fallback"), "fallback");
+}
+
+TEST(Cli, RejectsMalformedUnsignedValues) {
+  // A sign, trailing junk, an empty value, whitespace, and overflow.
+  for (const char* bad : {"-1", "+3", "3abc", "", " 7", "1e3", "0x10",
+                          "18446744073709551616"}) {
+    const std::string flag = std::string{"--n="} + bad;
+    const char* argv[] = {"prog", flag.c_str()};
+    const Cli cli{2, argv};
+    EXPECT_THROW((void)cli.get_u64("n", 0), std::invalid_argument) << "'" << bad << "'";
+    EXPECT_THROW((void)cli.get_u32("n", 0), std::invalid_argument) << "'" << bad << "'";
+  }
+  const char* argv[] = {"prog", "--steps", "-1"};
+  const Cli cli{3, argv};
+  EXPECT_THROW((void)cli.get_u32("steps", 8), std::invalid_argument);
+}
+
+TEST(Cli, U32IsRangeChecked) {
+  const char* argv[] = {"prog", "--a=4294967295", "--b=4294967296", "--c=007"};
+  const Cli cli{4, argv};
+  EXPECT_EQ(cli.get_u32("a", 0), 4294967295u);
+  EXPECT_THROW((void)cli.get_u32("b", 0), std::invalid_argument);
+  EXPECT_EQ(cli.get_u64("b", 0), 4294967296u);
+  EXPECT_EQ(cli.get_u32("c", 0), 7u);
+  EXPECT_EQ(cli.get_u32("absent", 12), 12u);
+  const char* max_argv[] = {"prog", "--max=18446744073709551615"};
+  EXPECT_EQ((Cli{2, max_argv}.get_u64("max", 0)), 18446744073709551615ull);
 }
 
 TEST(Cli, RejectsPositionalArguments) {
