@@ -1,7 +1,6 @@
 #include "src/core/embedding_metrics.hpp"
 
 #include <map>
-#include <stdexcept>
 
 #include "src/core/embedding.hpp"
 #include "src/routing/policies.hpp"
@@ -10,9 +9,7 @@ namespace upn {
 
 EmbeddingMetrics analyze_embedding(const Graph& guest, const Graph& host,
                                    const std::vector<NodeId>& embedding) {
-  if (embedding.size() != guest.num_nodes()) {
-    throw std::invalid_argument{"analyze_embedding: embedding size != guest size"};
-  }
+  validate_embedding(embedding, guest.num_nodes(), host.num_nodes(), "analyze_embedding");
   EmbeddingMetrics metrics;
   metrics.load = embedding_load(embedding, host.num_nodes());
 
@@ -33,7 +30,7 @@ EmbeddingMetrics analyze_embedding(const Graph& guest, const Graph& host,
       ++edges;
       NodeId at = embedding[u];
       const NodeId target = embedding[v];
-      const std::uint32_t distance = oracle.to(target)[at];
+      const std::uint32_t distance = oracle.distance(at, target);
       metrics.dilation = std::max(metrics.dilation, distance);
       dilation_sum += distance;
       metrics.total_path_length += distance;

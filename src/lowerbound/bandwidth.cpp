@@ -1,7 +1,6 @@
 #include "src/lowerbound/bandwidth.hpp"
 
-#include <stdexcept>
-
+#include "src/core/embedding.hpp"
 #include "src/routing/policies.hpp"
 #include "src/util/contracts.hpp"
 
@@ -9,9 +8,7 @@ namespace upn {
 
 BandwidthBound bandwidth_lower_bound(const Graph& guest, const Graph& host,
                                      const std::vector<NodeId>& embedding) {
-  if (embedding.size() != guest.num_nodes()) {
-    throw std::invalid_argument{"bandwidth_lower_bound: embedding size mismatch"};
-  }
+  validate_embedding(embedding, guest.num_nodes(), host.num_nodes(), "bandwidth_lower_bound");
   UPN_REQUIRE(host.num_nodes() > 0);
   BandwidthBound bound;
   DistanceOracle oracle{host};
@@ -19,7 +16,7 @@ BandwidthBound bandwidth_lower_bound(const Graph& guest, const Graph& host,
   for (NodeId u = 0; u < guest.num_nodes(); ++u) {
     for (const NodeId v : guest.neighbors(u)) {
       // Both directions count: each endpoint needs the other's configuration.
-      const std::uint32_t distance = oracle.to(embedding[v])[embedding[u]];
+      const std::uint32_t distance = oracle.distance(embedding[u], embedding[v]);
       bound.total_demand += distance;
       if (distance > max_distance) max_distance = distance;
     }

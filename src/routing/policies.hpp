@@ -19,13 +19,27 @@
 
 namespace upn {
 
-/// Lazily built per-destination BFS distance tables shared by policies.
+/// Shortest-path distances and minimizer port sets, shared by policies.
+///
+/// A host that is `make_butterfly(d)` node for node is served in closed
+/// form.  The constructor checks that structurally in O(m): the node count
+/// is (d+1)*2^d and every sorted adjacency row is the builder's straight /
+/// cross row.  Wrapped, faulted or relabelled butterflies fail the check.
+/// Every other graph gets lazily built per-destination BFS rows and, for
+/// n <= 8192 and degree <= 8, a per-destination minimizer-mask row.
 class DistanceOracle {
  public:
-  explicit DistanceOracle(const Graph& graph)
-      : graph_(&graph),
-        masks_(graph.num_nodes() > 0 && graph.num_nodes() <= 8192 &&
-               graph.max_degree() <= 8) {}
+  explicit DistanceOracle(const Graph& graph);
+
+  /// Length of a shortest at -> dst path.  Both ids must be graph nodes.
+  [[nodiscard]] std::uint32_t distance(NodeId at, NodeId dst);
+
+  /// d when the graph was recognised as make_butterfly(d), else 0.
+  [[nodiscard]] std::uint32_t butterfly_dimension() const noexcept { return bf_dim_; }
+
+ private:
+  friend std::uint32_t greedy_next_port(const Graph& graph, DistanceOracle& oracle, NodeId at,
+                                        NodeId target, std::uint32_t salt);
 
   /// Distance vector from every node to `dst` (BFS, cached).  The cache is
   /// indexed directly by destination -- one hot next_hop call per packet hop
@@ -48,7 +62,10 @@ class DistanceOracle {
     return mask_flat_.data() + static_cast<std::size_t>(dst) * graph_->num_nodes();
   }
 
- private:
+  /// The butterfly counterpart of minimizer_masks(dst)[at], in the same
+  /// neighbor-rank order.  Only valid when bf_dim_ != 0.
+  [[nodiscard]] std::uint32_t butterfly_mask(NodeId at, NodeId dst) const noexcept;
+
   [[nodiscard]] const std::vector<std::uint16_t>& compute(NodeId dst);
 
   const Graph* graph_;
@@ -56,6 +73,10 @@ class DistanceOracle {
   std::vector<std::vector<std::uint16_t>> cache_;  // by dst; empty = unbuilt
   std::vector<std::uint8_t> mask_flat_;   // n*n, row dst = masks toward dst
   std::vector<std::uint8_t> mask_built_;  // by dst; 1 = row of mask_flat_ valid
+  std::uint32_t bf_dim_ = 0;              // d of a recognised butterfly, else 0
+  // Recognised butterfly only: canonical minimizer masks indexed by
+  // (level(at), level(dst), row(at) XOR row(dst)); see butterfly_mask.
+  std::vector<std::uint8_t> bf_masks_;
 };
 
 class GreedyPolicy final : public RoutingPolicy {

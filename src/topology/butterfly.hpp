@@ -44,8 +44,8 @@ struct ButterflyLayout {
 /// The d-dimensional wrapped butterfly (d 2^d nodes, degree 4 for d >= 3).
 [[nodiscard]] Graph make_wrapped_butterfly(std::uint32_t dimension);
 
-/// Largest dimension d such that the unwrapped butterfly has at most
-/// max_nodes nodes; returns 0 if even d=1 does not fit (3 nodes minimum... d=1 has 4).
+/// Largest dimension d such that the unwrapped butterfly's (d+1) 2^d nodes
+/// are at most max_nodes; returns 0 if even d = 1 (4 nodes) does not fit.
 [[nodiscard]] std::uint32_t butterfly_dimension_for_size(std::uint32_t max_nodes);
 
 }  // namespace upn

@@ -71,5 +71,14 @@ TEST(Bandwidth, RejectsSizeMismatch) {
                std::invalid_argument);
 }
 
+TEST(Bandwidth, RejectsOutOfRangeTarget) {
+  // A target >= m must throw before any distance lookup indexes with it.
+  const Graph guest = make_cycle(4);
+  const Graph host = make_path(2);
+  EXPECT_THROW((void)bandwidth_lower_bound(guest, host, {0, 1, 2, 0}), std::invalid_argument);
+  EXPECT_THROW((void)bandwidth_lower_bound(guest, make_butterfly(2), {0, 1, 12, 0}),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace upn

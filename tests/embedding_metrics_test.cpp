@@ -79,5 +79,13 @@ TEST(EmbeddingMetrics, RejectsSizeMismatch) {
                std::invalid_argument);
 }
 
+TEST(EmbeddingMetrics, RejectsOutOfRangeTarget) {
+  // A target >= m must throw before any distance lookup indexes with it.
+  const Graph guest = make_cycle(4);
+  const Graph host = make_path(3);
+  EXPECT_THROW((void)analyze_embedding(guest, host, {0, 1, 2, 3}), std::invalid_argument);
+  EXPECT_THROW((void)analyze_embedding(guest, host, {0, 1, 1000000, 2}), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace upn

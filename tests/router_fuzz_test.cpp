@@ -76,7 +76,7 @@ TEST_P(RouterFuzz, InvariantsHoldOnRandomInstances) {
       ASSERT_LE(p.delivered_at, static_cast<std::int64_t>(result.steps));
       ASSERT_EQ(p.payload, (static_cast<std::uint64_t>(p.src) << 32) | p.dst);
       // Hop count at least the shortest-path distance (via detours allowed).
-      ASSERT_GE(hops[i], oracle.to(p.dst)[p.src]);
+      ASSERT_GE(hops[i], oracle.distance(p.src, p.dst));
     }
     ASSERT_EQ(result.total_transfers, result.transfers.size());
   }

@@ -1,15 +1,19 @@
 // Tests for the synchronous store-and-forward router and its policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "src/routing/hh_problem.hpp"
 #include "src/routing/policies.hpp"
 #include "src/routing/router.hpp"
 #include "src/topology/builders.hpp"
 #include "src/topology/butterfly.hpp"
+#include "src/topology/hypercube.hpp"
 #include "src/topology/properties.hpp"
 #include "src/topology/torus.hpp"
+#include "src/util/contracts.hpp"
 #include "src/util/rng.hpp"
 
 namespace upn {
@@ -27,12 +31,86 @@ std::vector<Packet> to_packets(const HhProblem& problem) {
   return packets;
 }
 
+// The port greedy_next_port must pick, derived from BFS alone: the
+// minimizers of `at`'s neighbors in rank order, the (mix64 % count)-th one.
+std::uint32_t reference_next_port(const Graph& g, const std::vector<std::uint32_t>& dist,
+                                  NodeId at, std::uint32_t salt) {
+  const auto nbrs = g.neighbors(at);
+  std::uint32_t best = kUnreachable;
+  for (const NodeId u : nbrs) best = std::min(best, dist[u]);
+  std::vector<std::uint32_t> minimizers;
+  for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
+    if (dist[nbrs[p]] == best) minimizers.push_back(p);
+  }
+  const std::uint64_t hash = mix64((static_cast<std::uint64_t>(salt) << 32) | at);
+  return minimizers[hash % minimizers.size()];
+}
+
+// Every (at, dst) distance and every greedy port choice (salts 0..3) of a
+// fresh oracle equals the BFS-derived reference.  ReferenceRouter shares
+// the oracle, so the router differential suite cannot catch an oracle error;
+// this test can.
+void expect_oracle_matches_bfs(const Graph& g) {
+  DistanceOracle oracle{g};
+  for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
+    const auto ref = bfs_distances(g, dst);
+    for (NodeId at = 0; at < g.num_nodes(); ++at) {
+      ASSERT_EQ(oracle.distance(at, dst), ref[at]) << g.name() << " " << at << "->" << dst;
+      for (std::uint32_t salt = 0; salt < 4; ++salt) {
+        ASSERT_EQ(greedy_next_port(g, oracle, at, dst, salt),
+                  reference_next_port(g, ref, at, salt))
+            << g.name() << " " << at << "->" << dst << " salt " << salt;
+      }
+    }
+  }
+}
+
+// `g` with the ids of nodes a and b exchanged.
+Graph swap_ids(const Graph& g, NodeId a, NodeId b) {
+  auto relabel = [&](NodeId v) { return v == a ? b : v == b ? a : v; };
+  GraphBuilder builder{g.num_nodes(), g.name() + " swapped"};
+  for (const auto& [u, v] : g.edge_list()) builder.add_edge(relabel(u), relabel(v));
+  return std::move(builder).build();
+}
+
 TEST(DistanceOracle, MatchesBfs) {
   const Graph t = make_torus(5, 5);
   DistanceOracle oracle{t};
-  const auto& d0 = oracle.to(0);
   const auto ref = bfs_distances(t, 0);
-  for (NodeId v = 0; v < t.num_nodes(); ++v) EXPECT_EQ(d0[v], ref[v]);
+  for (NodeId v = 0; v < t.num_nodes(); ++v) EXPECT_EQ(oracle.distance(v, 0), ref[v]);
+}
+
+TEST(DistanceOracle, ButterflyClosedFormMatchesBfs) {
+  for (std::uint32_t d = 1; d <= 7; ++d) {
+    const Graph b = make_butterfly(d);
+    EXPECT_EQ(DistanceOracle{b}.butterfly_dimension(), d);
+    expect_oracle_matches_bfs(b);
+  }
+}
+
+TEST(DistanceOracle, NonButterfliesKeepBfsTables) {
+  const Graph butterfly = make_butterfly(3);
+  GraphBuilder one_edge{butterfly.num_nodes(), "one edge"};
+  one_edge.add_edge(9, 17);  // (1, 1) -- (2, 1), a straight edge
+  ASSERT_TRUE(butterfly.has_edge(9, 17));
+  const Graph hosts[] = {
+      make_wrapped_butterfly(3),
+      make_hypercube(5),
+      make_torus(5, 5),
+      graph_difference(butterfly, std::move(one_edge).build(), "butterfly(3) - edge"),
+      swap_ids(butterfly, 3, 20),
+  };
+  for (const Graph& g : hosts) {
+    EXPECT_EQ(DistanceOracle{g}.butterfly_dimension(), 0u) << g.name();
+    expect_oracle_matches_bfs(g);
+  }
+}
+
+TEST(DistanceOracle, RejectsOutOfRangeIds) {
+  const Graph b = make_butterfly(2);
+  DistanceOracle oracle{b};
+  EXPECT_THROW((void)oracle.distance(b.num_nodes(), 0), ContractViolation);
+  EXPECT_THROW((void)oracle.distance(0, b.num_nodes()), ContractViolation);
 }
 
 TEST(GreedyPolicy, NextHopReducesDistance) {
@@ -46,7 +124,7 @@ TEST(GreedyPolicy, NextHopReducesDistance) {
     if (at == p.dst) continue;
     const NodeId next = policy.next_hop(t, at, p);
     EXPECT_TRUE(t.has_edge(at, next));
-    EXPECT_EQ(oracle.to(20)[next] + 1, oracle.to(20)[at]);
+    EXPECT_EQ(oracle.distance(next, 20) + 1, oracle.distance(at, 20));
   }
 }
 
