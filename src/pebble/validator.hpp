@@ -26,13 +26,23 @@ struct ValidationResult {
 
 /// Replays `protocol` against the guest and host topologies.  Checks, per
 /// host step and processor:
-///   * at most one operation (already enforced structurally);
+///   * at most one operation (Protocol::add enforces this only through a
+///     contract, which log mode and UPN_NDEBUG_CONTRACTS let through, so it
+///     is checked again here, before the other rules of the step);
 ///   * GENERATE (P_i, t): 1 <= t <= T and the processor holds (P_i, t-1)
 ///     and (P_j, t-1) for every guest neighbor j of i;
 ///   * SEND: the pebble is held and the partner is a host neighbor;
 ///   * RECEIVE: mirrored by a SEND of the same pebble from the partner in
 ///     the same step, and the partner is a host neighbor;
 ///   * termination: every final pebble (P_i, T) was generated somewhere.
+///
+/// Cost: O(1) expected per SEND and RECEIVE, O(deg) per GENERATE, plus
+/// O(m + n) per call.  A RECEIVE finds its SEND through a per-processor
+/// stamp naming the processor's op in the current step, not by a scan.
+/// Each processor's holdings are a flat open-addressing table of 64-bit
+/// holding words keyed by pebble (t-1)*n + i (time-0 pebbles are never
+/// stored), so memory is O(m + n + words touched) <= O(m + n + ops) -- never
+/// an m*n*T array, whatever the header claims.
 [[nodiscard]] ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
                                                  const Graph& host);
 

@@ -1,9 +1,13 @@
 // Pebble-game protocol and validator tests: the Section 3.1 rules, enforced.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "src/pebble/protocol.hpp"
 #include "src/pebble/validator.hpp"
 #include "src/topology/builders.hpp"
+#include "src/util/contracts.hpp"
+#include "src/util/par.hpp"
 
 namespace upn {
 namespace {
@@ -156,6 +160,89 @@ TEST(Validator, RejectsSizeMismatch) {
   Protocol protocol{4, 2, 1};
   const ValidationResult result = validate_protocol(protocol, triangle(), host_edge());
   EXPECT_FALSE(result.ok);
+}
+
+TEST(Validator, RejectsProcessorActingTwiceUnderLogMode) {
+  // Log mode lets Protocol::add keep the second op; the validator must not.
+  const ScopedContractMode scoped{ContractMode::kLog};
+  Protocol protocol{3, 2, 1};
+  protocol.begin_step();
+  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{0, 1}, 0});
+  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{1, 1}, 0});
+  ASSERT_EQ(protocol.num_ops(), 2u);
+  const ValidationResult result = validate_protocol(protocol, triangle(), host_edge());
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error.rfind(
+                "step 0: generate(P1,1) at proc 0: processor already acted this step", 0),
+            0u)
+      << result.error;
+}
+
+TEST(Validator, DoubleActionIsFoundBeforeTheStepsOtherRules) {
+  // Step 0 holds a send of an unheld pebble AND a processor acting twice:
+  // the one-op rule is checked first.
+  const ScopedContractMode scoped{ContractMode::kLog};
+  Protocol protocol{3, 2, 2};
+  protocol.begin_step();
+  protocol.add(Op{OpKind::kSend, 0, PebbleType{0, 1}, 1});
+  protocol.add(Op{OpKind::kGenerate, 1, PebbleType{0, 1}, 0});
+  protocol.add(Op{OpKind::kGenerate, 1, PebbleType{1, 1}, 0});
+  const ValidationResult result = validate_protocol(protocol, triangle(), host_edge());
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("at proc 1: processor already acted this step"),
+            std::string::npos)
+      << result.error;
+}
+
+TEST(Validator, SparseHoldingsUnderHugeHeader) {
+  // m = 2, n = T = 2^20: a dense m*n*T holding bitset would be 2^41 bits.
+  // The verdict must come back normally, fast, and without bad_alloc.
+  constexpr std::uint32_t kHuge = 1u << 20;
+  const Graph guest = GraphBuilder{kHuge, "isolated"}.build();
+  Protocol protocol{kHuge, 2, kHuge};
+  protocol.begin_step();
+  protocol.add(Op{OpKind::kGenerate, 0, PebbleType{kHuge - 1, 1}, 0});
+  protocol.add(Op{OpKind::kGenerate, 1, PebbleType{12345, 1}, 0});
+  protocol.begin_step();
+  protocol.add(Op{OpKind::kSend, 0, PebbleType{kHuge - 1, 1}, 1});
+  protocol.add(Op{OpKind::kReceive, 1, PebbleType{kHuge - 1, 1}, 0});
+  protocol.begin_step();
+  protocol.add(Op{OpKind::kGenerate, 1, PebbleType{kHuge - 1, 2}, 0});
+  const auto start = std::chrono::steady_clock::now();
+  ValidationResult result;
+  ASSERT_NO_THROW(result = validate_protocol(protocol, guest, host_edge()));
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error.rfind("final pebble (P0,1048576) was never generated", 0), 0u)
+      << result.error;
+  EXPECT_EQ(result.pebbles_generated, 3u);
+  EXPECT_EQ(result.pebbles_sent, 1u);
+  EXPECT_EQ(result.pebbles_received, 1u);
+  EXPECT_LT(elapsed.count(), 1.0);
+}
+
+TEST(Validator, BatchRejectsNullJobUnderLogMode) {
+  // Log mode lets the contract fall through; the null job must yield a
+  // failed verdict, not a dereference, and the other jobs still validate.
+  const ScopedContractMode scoped{ContractMode::kLog};
+  Protocol protocol{3, 2, 1};
+  for (NodeId i = 0; i < 3; ++i) {
+    protocol.begin_step();
+    protocol.add(Op{OpKind::kGenerate, 0, PebbleType{i, 1}, 0});
+  }
+  const Graph guest = triangle();
+  const Graph host = host_edge();
+  const std::vector<ValidationJob> jobs{{nullptr, &guest, &host},
+                                        {&protocol, &guest, &host},
+                                        {&protocol, nullptr, &host}};
+  ThreadPool pool{1};
+  const std::vector<ValidationResult> results = validate_protocols(jobs, pool);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_NE(results[0].error.find("null job member"), std::string::npos);
+  EXPECT_TRUE(results[1].ok) << results[1].error;
+  EXPECT_FALSE(results[2].ok);
+  EXPECT_NE(results[2].error.find("null job member"), std::string::npos);
 }
 
 }  // namespace
