@@ -4,25 +4,19 @@
 // The bench collects the real repo tree once (IO measured separately from
 // analysis) and then times the full pass stack -- IR construction, layering,
 // contract coverage, concurrency, determinism taint, hot-path, include
-// hygiene, and the whole-program call graph with its interprocedural
-// passes -- at --jobs {1, 2, 7}, the same thread counts the determinism
-// tests pin.  Scaling flattening out here means a pass serialized.  The IR
-// cache round-trip is timed on its own: it bounds what --ir-cache can save
-// the CI --diff gate.
+// hygiene, and dead functions -- at --jobs {1, 2, 7}, the same thread counts
+// the determinism tests pin.  Scaling flattening out here means a pass
+// serialized.
+#include <cstdlib>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench/harness.hpp"
-#include "src/util/par.hpp"
-#include "tools/analyze/callgraph.hpp"
 #include "tools/analyze/engine.hpp"
-#include "tools/analyze/ir.hpp"
-#include "tools/analyze/passes.hpp"
 
 namespace {
 
-upn::analyze::Input collect_repo(std::size_t& files) {
+upn::analyze::Input collect_repo() {
   upn::analyze::TreeOptions options;
   options.root = UPN_REPO_ROOT;
   options.paths = {"src", "tools", "bench", "tests", "examples"};
@@ -32,7 +26,6 @@ upn::analyze::Input collect_repo(std::size_t& files) {
     std::cerr << "bench_analyze: collect_tree failed: " << error << "\n";
     std::exit(1);
   }
-  files = input.files.size();
   return input;
 }
 
@@ -41,8 +34,7 @@ upn::analyze::Input collect_repo(std::size_t& files) {
 int main(int argc, char** argv) {
   upn::bench::Harness harness{"analyze", argc, argv};
 
-  std::size_t files = 0;
-  upn::analyze::Input input = collect_repo(files);
+  upn::analyze::Input input = collect_repo();
 
   harness.once("repo_summary", [&] {
     const upn::analyze::Report report = upn::analyze::analyze(input);
@@ -52,8 +44,7 @@ int main(int argc, char** argv) {
   });
 
   harness.measure("collect_tree", [&] {
-    std::size_t n = 0;
-    const upn::analyze::Input fresh = collect_repo(n);
+    const upn::analyze::Input fresh = collect_repo();
     upn::bench::keep(fresh.files.size());
   });
 
@@ -64,51 +55,6 @@ int main(int argc, char** argv) {
       upn::bench::keep(report.findings.size() + report.baselined.size());
     });
   }
-
-  // ---- call graph + interprocedural stack, isolated from the other passes.
-  std::vector<upn::analyze::Unit> units;
-  units.reserve(input.files.size());
-  for (const auto& file : input.files) {
-    units.push_back(upn::analyze::build_unit(file.path, file.content));
-  }
-
-  for (const unsigned jobs : {1u, 7u}) {
-    upn::ThreadPool pool{jobs};
-    harness.measure("callgraph/jobs=" + std::to_string(jobs), [&] {
-      const upn::analyze::CallGraph graph = upn::analyze::build_callgraph(units, pool);
-      upn::bench::keep(graph.nodes.size() + graph.edges.size() + graph.opens.size());
-    });
-  }
-
-  {
-    upn::ThreadPool pool{7};
-    const upn::analyze::CallGraph graph = upn::analyze::build_callgraph(units, pool);
-    const upn::analyze::LayerSpec spec =
-        upn::analyze::parse_layers(input.layers_path, input.layers_text);
-    harness.measure("interproc_passes", [&] {
-      std::size_t findings = 0;
-      findings += upn::analyze::run_lock_order_pass(graph, units).size();
-      findings += upn::analyze::run_contract_propagation_pass(graph, units, spec).size();
-      findings += upn::analyze::run_exception_safety_pass(graph, units).size();
-      findings += upn::analyze::run_dead_function_pass(graph, units).size();
-      upn::bench::keep(findings);
-    });
-  }
-
-  // The serialize -> deserialize round-trip every --ir-cache hit pays in
-  // place of re-tokenizing the unit from source.
-  harness.measure("ir_cache_roundtrip", [&] {
-    std::size_t bytes = 0;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      const std::string serialized = upn::analyze::serialize_unit(units[i]);
-      upn::analyze::Unit loaded;
-      if (upn::analyze::deserialize_unit(input.files[i].path, input.files[i].content,
-                                         serialized, loaded)) {
-        bytes += serialized.size();
-      }
-    }
-    upn::bench::keep(bytes);
-  });
 
   return harness.finish();
 }

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace upn {
 
@@ -86,7 +87,11 @@ Protocol read_protocol(std::istream& is) {
     fail(line_no, "header count exceeds limit");
   }
   Protocol protocol{n, m, T};
-  bool in_step = false;
+  // The one-op-per-processor rule is checked here, not left to
+  // Protocol::add's contract, so it holds in every contract mode.
+  // last_step[p] is the 1-based index of the last step processor p acted in.
+  std::vector<std::uint32_t> last_step(m, 0);
+  std::uint32_t step = 0;
   while (std::getline(is, line)) {
     ++line_no;
     if (line.size() > kMaxProtocolLineLength) fail(line_no, "line too long");
@@ -96,10 +101,10 @@ Protocol read_protocol(std::istream& is) {
     if (tokens[0] == "step") {
       if (tokens.size() != 1) fail(line_no, "trailing garbage after 'step'");
       protocol.begin_step();
-      in_step = true;
+      ++step;
       continue;
     }
-    if (!in_step) fail(line_no, "operation before first 'step'");
+    if (step == 0) fail(line_no, "operation before first 'step'");
     if (tokens[0].size() != 1) fail(line_no, "unknown op kind");
     Op op;
     std::size_t expected_fields = 0;
@@ -130,6 +135,10 @@ Protocol read_protocol(std::istream& is) {
     if (expected_fields == 5) {
       op.partner = parse_u32(tokens[4], line_no, "partner");
       if (op.partner >= m) fail(line_no, "partner out of range");
+    }
+    if (op.proc < m) {
+      if (last_step[op.proc] == step) fail(line_no, "processor already acted this step");
+      last_step[op.proc] = step;
     }
     try {
       protocol.add(op);

@@ -146,7 +146,9 @@ TEST(AnalyzeIr, PrivateMembersAreNotPublic) {
       saw_private = true;
       EXPECT_FALSE(d.is_public);
     }
-    if (d.name == "get") EXPECT_TRUE(d.is_public);
+    if (d.name == "get") {
+      EXPECT_TRUE(d.is_public);
+    }
   }
   EXPECT_TRUE(saw_private);
 }
@@ -358,7 +360,9 @@ TEST(AnalyzeHygiene, UnusedIncludeFlaggedUsedIncludeQuiet) {
   const Report report = analyze(input);
   ASSERT_TRUE(has_rule(report.findings, "unused-include")) << report.render_text();
   for (const Finding& f : report.findings) {
-    if (f.rule == "unused-include") EXPECT_EQ(f.file, "src/util/nonuser.cpp");
+    if (f.rule == "unused-include") {
+      EXPECT_EQ(f.file, "src/util/nonuser.cpp");
+    }
   }
 }
 
@@ -609,7 +613,17 @@ TEST(AnalyzeHotpath, BaselineAbsorbsFindingsAndStaleEntriesFireTheRatchet) {
   }
 }
 
-TEST(AnalyzeInterproc, BaselineAbsorbsFindingsAndStaleEntriesFireTheRatchet) {
+// ---- dead functions -------------------------------------------------------
+
+std::vector<Finding> dead_functions(const Report& report) {
+  std::vector<Finding> dead;
+  for (const Finding& f : report.findings) {
+    if (f.rule == "dead-function") dead.push_back(f);
+  }
+  return dead;
+}
+
+TEST(AnalyzeDeadFunction, FiresOnAnOrphanAndIsQuietOnceReferenced) {
   Input input;
   input.files.push_back({"src/core/orphan.cpp",
                          "namespace demo {\n"
@@ -617,33 +631,55 @@ TEST(AnalyzeInterproc, BaselineAbsorbsFindingsAndStaleEntriesFireTheRatchet) {
                          "  return value * 3;\n"
                          "}\n"
                          "}  // namespace demo\n"});
+  input.files.push_back({"src/core/orphan.hpp",
+                         "#pragma once\n"
+                         "namespace demo {\n"
+                         "int orphaned_scale(int value);\n"
+                         "}  // namespace demo\n"});
   input.jobs = 1;
-  const Report live = analyze(input);
-  std::vector<Finding> interproc_findings;
-  for (const Finding& f : live.findings) {
-    if (is_interproc_rule(f.rule)) interproc_findings.push_back(f);
-  }
-  ASSERT_TRUE(has_rule(interproc_findings, "dead-function")) << live.render_text();
+  const std::vector<Finding> live = dead_functions(analyze(input));
+  // A header prototype is a self-reference, not a use.
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].file, "src/core/orphan.cpp");
+  EXPECT_EQ(live[0].line, 2u);
+  EXPECT_NE(live[0].message.find("'orphaned_scale'"), std::string::npos);
+  EXPECT_TRUE(analyze(input).baselined.empty()) << "dead-function is never baselined";
 
-  // Keyed into the baseline, the finding moves to the baselined bucket.
-  input.interproc_text = render_interproc_baseline(interproc_findings);
-  input.interproc_path = "tools/analyze/interproc.baseline";
-  const Report absorbed = analyze(input);
-  EXPECT_FALSE(has_rule(absorbed.findings, "dead-function"));
-  EXPECT_TRUE(has_rule(absorbed.baselined, "dead-function"));
-  EXPECT_FALSE(has_rule(absorbed.findings, "baseline-stale-entry"));
+  // One mention anywhere in the tree -- here a test outside src/ -- keeps it
+  // alive.
+  input.files.push_back({"tests/orphan_test.cpp",
+                         "int probe() { return demo::orphaned_scale(2); }\n"});
+  EXPECT_TRUE(dead_functions(analyze(input)).empty());
+}
 
-  // An entry that matches nothing must be deleted: the ratchet only shrinks.
-  input.interproc_text += "src/core/gone.cpp:dead-function:vanished\n";
-  const Report stale = analyze(input);
-  ASSERT_TRUE(has_rule(stale.findings, "baseline-stale-entry")) << stale.render_text();
-  for (const Finding& f : stale.findings) {
-    if (f.rule != "baseline-stale-entry") continue;
-    EXPECT_EQ(f.file, "tools/analyze/interproc.baseline");
-    EXPECT_EQ(f.line, 0u);
-    EXPECT_NE(f.message.find("src/core/gone.cpp:dead-function:vanished"),
-              std::string::npos);
-  }
+TEST(AnalyzeDeadFunction, MembersMainNonSrcAndWaivedDefinitionsAreNotFlagged) {
+  Input input;
+  input.files.push_back({"src/core/shapes.cpp",
+                         "namespace demo {\n"
+                         "struct Box {\n"
+                         "  int inline_member() { return 1; }\n"
+                         "};\n"
+                         "int Box::out_of_line() { return 2; }\n"
+                         "Box::~Box() { }\n"
+                         "int waived() {  // upn-analyze-waive(dead-function: kept for a demo)\n"
+                         "  return 3;\n"
+                         "}\n"
+                         "}  // namespace demo\n"
+                         "int main() { return 0; }\n"});
+  input.files.push_back({"tools/helper.cpp", "int unused_tool_helper() { return 4; }\n"});
+  input.files.push_back({"src/core/after_dtor.cpp",
+                         "namespace demo {\n"
+                         "Box::~Box() { }\n"
+                         "template <typename T>\n"
+                         "T after_dtor(T value) { return value; }\n"
+                         "}  // namespace demo\n"});
+  input.jobs = 1;
+  const std::vector<Finding> dead = dead_functions(analyze(input));
+  // Only the free function that follows an out-of-line destructor is a
+  // candidate, and nothing references it.
+  ASSERT_EQ(dead.size(), 1u) << analyze(input).render_text();
+  EXPECT_EQ(dead[0].file, "src/core/after_dtor.cpp");
+  EXPECT_EQ(dead[0].line, 4u);
 }
 
 TEST(AnalyzeHotpath, KeyUsesTheQuotedDetailAndBaselineRendersSortedUnique) {
@@ -687,22 +723,6 @@ TEST(AnalyzeHotpath, DirectiveParsingRejectsMalformedAndDuplicateLines) {
                        "layers-malformed"));
 }
 
-// ---- diff restriction -----------------------------------------------------
-
-TEST(AnalyzeDiff, RestrictToFilesKeepsOnlyTheNamedFiles) {
-  Input input;
-  input.files.push_back({"src/util/a.hpp", "namespace upn {}\n"});
-  input.files.push_back({"src/util/b.hpp", "namespace upn {}\n"});
-  input.jobs = 1;
-  Report report = analyze(input);
-  ASSERT_TRUE(has_rule(report.findings, "pragma-once"));
-  restrict_to_files(report, {"src/util/b.hpp"});
-  for (const Finding& f : report.findings) {
-    EXPECT_EQ(f.file, "src/util/b.hpp") << f.format();
-  }
-  EXPECT_TRUE(has_rule(report.findings, "pragma-once"));
-}
-
 // ---- fixture trees --------------------------------------------------------
 
 TEST(AnalyzeFixtures, CleanTreeIsClean) {
@@ -720,10 +740,7 @@ TEST(AnalyzeFixtures, BadTreeFiresEveryPassFamily) {
         "unused-include", "pragma-once", "par-shared-mutation", "par-shared-rng",
         "taint-unordered-order", "taint-timing", "taint-thread-id", "taint-address",
         "hotpath-container", "hotpath-alloc", "hotpath-virtual",
-        "hotpath-by-value-param", "baseline-stale-entry", "lock-order-cycle",
-        "task-blocking-call", "task-blocking-io", "contract-violated-call",
-        "hotpath-unchecked-entry", "noexcept-may-throw", "dtor-may-throw",
-        "dead-function"}) {
+        "hotpath-by-value-param", "baseline-stale-entry", "dead-function"}) {
     EXPECT_TRUE(has_rule(report.findings, rule)) << rule;
   }
 }

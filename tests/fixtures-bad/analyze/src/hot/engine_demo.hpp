@@ -20,9 +20,4 @@ inline long drain(std::vector<long> batch) {
   return total;
 }
 
-inline int hot_entry(int load) {
-  int scaled = load * 2;
-  return scaled + 1;
-}
-
 }  // namespace demo

@@ -10,6 +10,7 @@
 #include "src/topology/builders.hpp"
 #include "src/topology/butterfly.hpp"
 #include "src/topology/random_regular.hpp"
+#include "src/util/contracts.hpp"
 
 namespace upn {
 namespace {
@@ -85,6 +86,19 @@ TEST(PebbleIo, RejectsDoubleOpPerProc) {
   std::stringstream buffer{
       "upn-protocol 1 3 2 1\nstep\nG 0 0 1\nG 0 1 1\n"};
   EXPECT_THROW((void)read_protocol(buffer), std::runtime_error);
+}
+
+TEST(PebbleIo, RejectsDoubleOpPerProcInEveryContractMode) {
+  // Protocol::add only enforces the rule by contract; log mode reports and
+  // continues, so the reader must reject the line itself.
+  const ScopedContractMode mode{ContractMode::kLog};
+  std::stringstream buffer{"upn-protocol 1 3 2 1\nstep\nG 0 0 1\nG 0 1 1\n"};
+  try {
+    (void)read_protocol(buffer);
+    FAIL() << "a processor acting twice in one step was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "read_protocol: line 4: processor already acted this step");
+  }
 }
 
 TEST(PebbleIo, RejectsOutOfRangePebble) {

@@ -57,19 +57,6 @@ struct ParLambda {
   std::size_t body_end = 0;           ///< the closing '}' token
 };
 
-/// Token index just past a balanced group opened at `open` ('(' / '[' / '{');
-/// toks.size() when unbalanced.
-std::size_t skip_group(const std::vector<Token>& toks, std::size_t open) {
-  const std::string& o = toks[open].text;
-  const std::string c = o == "(" ? ")" : o == "[" ? "]" : "}";
-  int depth = 0;
-  for (std::size_t k = open; k < toks.size(); ++k) {
-    if (toks[k].text == o) ++depth;
-    if (toks[k].text == c && --depth == 0) return k + 1;
-  }
-  return toks.size();
-}
-
 /// Parses the lambda whose '[' sits at `open`; false when no body follows.
 bool parse_lambda(const std::vector<Token>& toks, std::size_t open, ParLambda& out) {
   const std::size_t captures_end = skip_group(toks, open);  // past ']'

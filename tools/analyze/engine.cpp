@@ -9,7 +9,6 @@
 
 #include "src/obs/obs.hpp"
 #include "src/util/par.hpp"
-#include "tools/analyze/callgraph.hpp"
 
 namespace fs = std::filesystem;
 
@@ -50,49 +49,10 @@ Report analyze(const Input& input) {
 
   // Per-file work fans out on the pool; results are collected BY INDEX so
   // the merge below is independent of scheduling (src/util/par contract).
-  // With --ir-cache, each task first tries its content-keyed cache entry
-  // (keys are computed serially so the fan-out only reads); misses are
-  // rebuilt and written back serially afterwards.  The cache can only ever
-  // skip work, never change a result: a failed read or parse falls through
-  // to build_unit, and cache IO errors are deliberately non-fatal.
-  std::vector<Unit> units;
-  if (input.ir_cache_dir.empty()) {
-    units = pool.parallel_map<Unit>(input.files.size(), [&](std::size_t i) {
-      return build_unit(input.files[i].path, input.files[i].content);
-    });
-  } else {
-    const fs::path cache_dir{input.ir_cache_dir};
-    std::error_code ec;
-    fs::create_directories(cache_dir, ec);
-    std::vector<fs::path> entries(input.files.size());
-    for (std::size_t i = 0; i < input.files.size(); ++i) {
-      entries[i] = cache_dir / (unit_cache_key(input.files[i].path,
-                                               input.files[i].content) +
-                                ".upnir");
-    }
-    std::vector<char> hit(input.files.size(), 0);  // index-disjoint writes
-    units = pool.parallel_map<Unit>(input.files.size(), [&](std::size_t i) {
-      std::string serialized;
-      Unit unit;
-      if (read_file(entries[i], serialized) &&
-          deserialize_unit(input.files[i].path, input.files[i].content, serialized, unit)) {
-        hit[i] = 1;
-        return unit;
-      }
-      return build_unit(input.files[i].path, input.files[i].content);
-    });
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      if (hit[i] != 0) {
-        ++hits;
-        continue;
-      }
-      std::ofstream out{entries[i], std::ios::binary};
-      if (out) out << serialize_unit(units[i]);
-    }
-    UPN_OBS_COUNT("analyze.ir_cache.hits", hits);
-    UPN_OBS_COUNT("analyze.ir_cache.misses", units.size() - hits);
-  }
+  const std::vector<Unit> units =
+      pool.parallel_map<Unit>(input.files.size(), [&](std::size_t i) {
+        return build_unit(input.files[i].path, input.files[i].content);
+      });
   // The per-unit pass trio (single-file rules, concurrency safety,
   // determinism taint) shares one fan-out; each worker owns exactly one unit.
   const std::vector<std::vector<Finding>> per_unit =
@@ -110,9 +70,8 @@ Report analyze(const Input& input) {
     all.insert(all.end(), findings.begin(), findings.end());
   }
 
-  LayerSpec spec;  // empty (no hotpath modules) when no layers file is given
   if (!input.layers_path.empty()) {
-    spec = parse_layers(input.layers_path, input.layers_text);
+    const LayerSpec spec = parse_layers(input.layers_path, input.layers_text);
     const std::vector<Finding> layering =
         run_layering_pass(units, spec, input.layers_path);
     const std::vector<Finding> hot = run_hotpath_pass(units, spec);
@@ -120,39 +79,23 @@ Report analyze(const Input& input) {
     all.insert(all.end(), hot.begin(), hot.end());
   }
 
-  const std::vector<Finding> coverage = run_contract_coverage_pass(units);
-  const std::vector<Finding> hygiene = run_include_hygiene_pass(units);
-  all.insert(all.end(), coverage.begin(), coverage.end());
-  all.insert(all.end(), hygiene.begin(), hygiene.end());
-
-  // The whole-program half: extraction fans out per unit inside
-  // build_callgraph, linking and the pass families 8-11 are single ordered
-  // walks, so the findings are byte-identical at every --jobs value.
-  const CallGraph graph = build_callgraph(units, pool);
   for (const std::vector<Finding>& findings :
-       {run_lock_order_pass(graph, units), run_contract_propagation_pass(graph, units, spec),
-        run_exception_safety_pass(graph, units), run_dead_function_pass(graph, units)}) {
+       {run_contract_coverage_pass(units), run_include_hygiene_pass(units),
+        run_dead_function_pass(units)}) {
     all.insert(all.end(), findings.begin(), findings.end());
   }
 
   const std::set<std::string> baseline = parse_baseline(input.baseline_text);
   const std::set<std::string> hotpath_baseline = parse_baseline(input.hotpath_text);
-  const std::set<std::string> interproc_baseline = parse_baseline(input.interproc_text);
   std::set<std::string> hotpath_seen;
-  std::set<std::string> interproc_seen;
   Report report;
   report.files = input.files.size();
   for (Finding& f : all) {
-    const bool is_hotpath = f.rule.compare(0, 8, "hotpath-") == 0 &&
-                            !is_interproc_rule(f.rule);
-    const bool is_interproc = is_interproc_rule(f.rule);
+    const bool is_hotpath = f.rule.compare(0, 8, "hotpath-") == 0;
     if (is_hotpath) hotpath_seen.insert(hotpath_key(f));
-    if (is_interproc) interproc_seen.insert(interproc_key(f));
     if (f.rule == "contract-coverage" && baseline.count(baseline_key(f)) != 0) {
       report.baselined.push_back(std::move(f));
     } else if (is_hotpath && hotpath_baseline.count(hotpath_key(f)) != 0) {
-      report.baselined.push_back(std::move(f));
-    } else if (is_interproc && interproc_baseline.count(interproc_key(f)) != 0) {
       report.baselined.push_back(std::move(f));
     } else {
       report.findings.push_back(std::move(f));
@@ -170,40 +113,14 @@ Report analyze(const Input& input) {
                     "' matches no current finding; delete it (the ratchet only "
                     "shrinks)"});
   }
-  const std::string interproc_path = input.interproc_path.empty()
-                                         ? "tools/analyze/interproc.baseline"
-                                         : input.interproc_path;
-  for (const std::string& entry : interproc_baseline) {
-    if (interproc_seen.count(entry) != 0) continue;
-    report.findings.push_back(
-        Finding{interproc_path, 0, "baseline-stale-entry",
-                "interproc baseline entry '" + entry +
-                    "' matches no current finding; delete it (the ratchet only "
-                    "shrinks)"});
-  }
   std::sort(report.findings.begin(), report.findings.end(), finding_less);
   std::sort(report.baselined.begin(), report.baselined.end(), finding_less);
 
-  if (input.want_callgraph) report.callgraph_dump = dump_callgraph(graph);
-
-  UPN_OBS_COUNT("analyze.callgraph.nodes", graph.nodes.size());
-  UPN_OBS_COUNT("analyze.callgraph.edges", graph.edges.size());
-  UPN_OBS_COUNT("analyze.callgraph.open", graph.opens.size());
   UPN_OBS_COUNT("analyze.files", report.files);
   UPN_OBS_COUNT("analyze.findings", report.findings.size());
   UPN_OBS_COUNT("analyze.findings_baselined", report.baselined.size());
   UPN_OBS_COUNT("analyze.runs", 1);
   return report;
-}
-
-void restrict_to_files(Report& report, const std::set<std::string>& files) {
-  auto drop = [&](std::vector<Finding>& findings) {
-    findings.erase(std::remove_if(findings.begin(), findings.end(),
-                                  [&](const Finding& f) { return files.count(f.file) == 0; }),
-                   findings.end());
-  };
-  drop(report.findings);
-  drop(report.baselined);
 }
 
 bool collect_tree(const TreeOptions& options, Input& input, std::string& error) {
@@ -299,18 +216,6 @@ bool collect_tree(const TreeOptions& options, Input& input, std::string& error) 
     input.hotpath_path = rel_of(hotpath);
   }
 
-  fs::path interproc = options.interproc_file.empty()
-                           ? root / "tools/analyze/interproc.baseline"
-                           : fs::path{options.interproc_file};
-  if (!options.interproc_file.empty() || fs::exists(interproc)) {
-    if (!read_file(interproc, input.interproc_text)) {
-      error = "cannot read interproc baseline file " + interproc.generic_string();
-      return false;
-    }
-    input.interproc_path = rel_of(interproc);
-  }
-
-  input.ir_cache_dir = options.ir_cache_dir;
   return true;
 }
 

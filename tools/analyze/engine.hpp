@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -25,10 +24,6 @@ struct Input {
   std::string baseline_text;      ///< contract baseline; "" means empty
   std::string hotpath_text;       ///< hotpath baseline; "" means empty
   std::string hotpath_path;       ///< reported path for stale-entry findings
-  std::string interproc_text;     ///< interproc baseline; "" means empty
-  std::string interproc_path;     ///< reported path for stale-entry findings
-  std::string ir_cache_dir;       ///< "" disables the IR cache (--ir-cache)
-  bool want_callgraph = false;    ///< fill Report::callgraph_dump
   unsigned jobs = 0;              ///< 0 picks ThreadPool::default_threads()
 };
 
@@ -36,9 +31,6 @@ struct Report {
   std::vector<Finding> findings;   ///< actionable, sorted
   std::vector<Finding> baselined;  ///< matched the contract baseline, sorted
   std::size_t files = 0;
-  /// The `--dump-callgraph` text (tools/analyze/callgraph.hpp); filled only
-  /// when Input::want_callgraph is set.
-  std::string callgraph_dump;
 
   /// The text report: one line per finding plus a trailing summary line.
   [[nodiscard]] std::string render_text() const;
@@ -46,12 +38,6 @@ struct Report {
 
 /// Runs the full analysis.
 [[nodiscard]] Report analyze(const Input& input);
-
-/// Drops every finding (actionable and baselined) whose file is not in
-/// `files`.  Backs the `--diff <git-ref>` fast PR gate: the caller computes
-/// the changed-file set, the filtering itself stays deterministic and
-/// testable.  `report.files` (the analyzed count) is left untouched.
-void restrict_to_files(Report& report, const std::set<std::string>& files);
 
 /// Disk-walking front half: loads .cpp/.hpp files under `paths` (relative to
 /// `root` unless absolute), skipping paths that contain any `excludes`
@@ -63,8 +49,6 @@ struct TreeOptions {
   std::string layers_file;    ///< "" -> root/docs/ARCHITECTURE.layers when present
   std::string baseline_file;  ///< "" -> root/tools/analyze/contracts.baseline when present
   std::string hotpath_file;   ///< "" -> root/tools/analyze/hotpath.baseline when present
-  std::string interproc_file; ///< "" -> root/tools/analyze/interproc.baseline when present
-  std::string ir_cache_dir;   ///< "" disables the IR cache
   std::vector<std::string> excludes = {"fixtures-bad", "fixtures-clean", "build"};
   unsigned jobs = 0;
 };

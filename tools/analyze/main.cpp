@@ -1,8 +1,8 @@
 // upn_analyze CLI: whole-program static analysis with layering DAG
 // enforcement, contract-coverage audit (baseline-ratcheted), flow-sensitive
 // token rules, concurrency-safety and determinism-taint passes, the
-// hot-path performance pass (baseline-ratcheted), include hygiene, and
-// SARIF 2.1.0 output for CI annotation.
+// hot-path performance pass (baseline-ratcheted), include hygiene, dead
+// free functions, and SARIF 2.1.0 output for CI annotation.
 //
 // Usage:
 //   upn_analyze [options] PATH...
@@ -11,31 +11,19 @@
 //     --baseline FILE   contract baseline (default ROOT/tools/analyze/contracts.baseline)
 //     --hotpath-baseline FILE
 //                       hot-path baseline (default ROOT/tools/analyze/hotpath.baseline)
-//     --interproc-baseline FILE
-//                       interprocedural baseline (default
-//                       ROOT/tools/analyze/interproc.baseline)
-//     --ir-cache DIR    cache parsed TU IR in DIR, keyed by content hash, so
-//                       back-to-back runs (the CI --diff gate + full run)
-//                       parse each unchanged file once
-//     --dump-callgraph  print the whole-program call graph before the report
 //     --sarif FILE      also write a SARIF 2.1.0 report to FILE
-//     --jobs N          analysis thread count (default: UPN_THREADS, else 1)
+//     --jobs N          analysis thread count, 1..4096 (default: UPN_THREADS, else 1)
 //     --exclude SUBSTR  skip paths containing SUBSTR (repeatable; defaults
 //                       additionally skip fixtures-bad/, fixtures-clean/, build*/)
-//     --diff GIT_REF    report only findings in files `git diff --name-only
-//                       GIT_REF` lists (the fast PR gate; analysis itself
-//                       still runs over every PATH so cross-file passes see
-//                       the whole tree)
-//     --write-baseline  rewrite all three baselines at the current debt level
+//     --write-baseline  rewrite both baselines at the current debt level
 //
 // Exit codes: 0 clean, 1 findings, 2 usage / IO error.  The text report and
 // the SARIF document are byte-identical at every --jobs value.
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -46,39 +34,17 @@ namespace {
 
 int usage() {
   std::cerr << "usage: upn_analyze [--root DIR] [--layers FILE] [--baseline FILE]\n"
-               "                   [--hotpath-baseline FILE] [--interproc-baseline FILE]\n"
-               "                   [--ir-cache DIR] [--dump-callgraph] [--sarif FILE]\n"
-               "                   [--jobs N] [--exclude SUBSTR]... [--diff GIT_REF]\n"
-               "                   [--write-baseline] PATH...\n";
+               "                   [--hotpath-baseline FILE] [--sarif FILE] [--jobs N]\n"
+               "                   [--exclude SUBSTR]... [--write-baseline] PATH...\n";
   return 2;
 }
 
-/// The files `git diff --name-only <ref>` reports, repo-relative.  Returns
-/// false (with `error` set) when git itself fails.
-bool changed_files(const std::string& root, const std::string& ref,
-                   std::set<std::string>& files, std::string& error) {
-  const std::string command =
-      "git -C '" + root + "' diff --name-only '" + ref + "' -- 2>/dev/null";
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) {
-    error = "cannot run git diff";
-    return false;
-  }
-  std::string line;
-  for (int c = std::fgetc(pipe); c != EOF; c = std::fgetc(pipe)) {
-    if (c == '\n') {
-      if (!line.empty()) files.insert(line);
-      line.clear();
-    } else {
-      line += static_cast<char>(c);
-    }
-  }
-  if (!line.empty()) files.insert(line);
-  if (pclose(pipe) != 0) {
-    error = "git diff --name-only '" + ref + "' failed (bad ref or not a git repo?)";
-    return false;
-  }
-  return true;
+/// Parses a --jobs value: the whole token must be a decimal in 1..4096, the
+/// bound ThreadPool::default_threads() applies to UPN_THREADS.
+bool parse_jobs(const char* text, unsigned& jobs) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, jobs);
+  return ec == std::errc{} && ptr == end && jobs >= 1 && jobs <= 4096;
 }
 
 }  // namespace
@@ -86,9 +52,7 @@ bool changed_files(const std::string& root, const std::string& ref,
 int main(int argc, char** argv) {
   upn::analyze::TreeOptions options;
   std::string sarif_path;
-  std::string diff_ref;
   bool write_baseline = false;
-  bool dump_callgraph = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -110,34 +74,17 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage();
       options.hotpath_file = v;
-    } else if (arg == "--interproc-baseline") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      options.interproc_file = v;
-    } else if (arg == "--ir-cache") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      options.ir_cache_dir = v;
-    } else if (arg == "--dump-callgraph") {
-      dump_callgraph = true;
     } else if (arg == "--sarif") {
       const char* v = value();
       if (v == nullptr) return usage();
       sarif_path = v;
     } else if (arg == "--jobs") {
       const char* v = value();
-      if (v == nullptr) return usage();
-      const long jobs = std::strtol(v, nullptr, 10);
-      if (jobs < 1) return usage();
-      options.jobs = static_cast<unsigned>(jobs);
+      if (v == nullptr || !parse_jobs(v, options.jobs)) return usage();
     } else if (arg == "--exclude") {
       const char* v = value();
       if (v == nullptr) return usage();
       options.excludes.emplace_back(v);
-    } else if (arg == "--diff") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      diff_ref = v;
     } else if (arg == "--write-baseline") {
       write_baseline = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -154,7 +101,6 @@ int main(int argc, char** argv) {
     std::cerr << "upn_analyze: " << error << "\n";
     return 2;
   }
-  input.want_callgraph = dump_callgraph;
 
   upn::analyze::Report report = upn::analyze::analyze(input);
 
@@ -163,54 +109,32 @@ int main(int argc, char** argv) {
     // the old baselines covered it.
     std::vector<upn::analyze::Finding> uncontracted;
     std::vector<upn::analyze::Finding> hotpath_debt;
-    std::vector<upn::analyze::Finding> interproc_debt;
     for (const std::vector<upn::analyze::Finding>* bucket :
          {&report.baselined, &report.findings}) {
       for (const upn::analyze::Finding& f : *bucket) {
         if (f.rule == "contract-coverage") uncontracted.push_back(f);
-        if (upn::analyze::is_interproc_rule(f.rule)) {
-          interproc_debt.push_back(f);
-        } else if (f.rule.compare(0, 8, "hotpath-") == 0) {
-          hotpath_debt.push_back(f);
-        }
+        if (f.rule.compare(0, 8, "hotpath-") == 0) hotpath_debt.push_back(f);
       }
     }
     std::sort(uncontracted.begin(), uncontracted.end(), upn::analyze::finding_less);
     std::sort(hotpath_debt.begin(), hotpath_debt.end(), upn::analyze::finding_less);
-    std::sort(interproc_debt.begin(), interproc_debt.end(), upn::analyze::finding_less);
     const std::string contracts_path =
         options.baseline_file.empty() ? options.root + "/tools/analyze/contracts.baseline"
                                       : options.baseline_file;
     const std::string hotpath_path =
         options.hotpath_file.empty() ? options.root + "/tools/analyze/hotpath.baseline"
                                      : options.hotpath_file;
-    const std::string interproc_path =
-        options.interproc_file.empty() ? options.root + "/tools/analyze/interproc.baseline"
-                                       : options.interproc_file;
     std::ofstream contracts_out{contracts_path, std::ios::binary};
     std::ofstream hotpath_out{hotpath_path, std::ios::binary};
-    std::ofstream interproc_out{interproc_path, std::ios::binary};
-    if (!contracts_out || !hotpath_out || !interproc_out) {
+    if (!contracts_out || !hotpath_out) {
       std::cerr << "upn_analyze: cannot write baseline " << contracts_path << " / "
-                << hotpath_path << " / " << interproc_path << "\n";
+                << hotpath_path << "\n";
       return 2;
     }
     contracts_out << upn::analyze::render_baseline(uncontracted);
     hotpath_out << upn::analyze::render_hotpath_baseline(hotpath_debt);
-    interproc_out << upn::analyze::render_interproc_baseline(interproc_debt);
     std::cerr << "upn_analyze: baselines rewritten: " << contracts_path << ", "
-              << hotpath_path << ", " << interproc_path << "\n";
-  }
-
-  if (!diff_ref.empty()) {
-    std::set<std::string> changed;
-    if (!changed_files(options.root, diff_ref, changed, error)) {
-      std::cerr << "upn_analyze: " << error << "\n";
-      return 2;
-    }
-    upn::analyze::restrict_to_files(report, changed);
-    std::cerr << "upn_analyze: --diff " << diff_ref << " restricted reporting to "
-              << changed.size() << " changed files\n";
+              << hotpath_path << "\n";
   }
 
   if (!sarif_path.empty()) {
@@ -222,7 +146,6 @@ int main(int argc, char** argv) {
     out << upn::analyze::write_sarif(report.findings);
   }
 
-  if (dump_callgraph) std::cout << report.callgraph_dump;
   std::cout << report.render_text();
   return report.findings.empty() ? 0 : 1;
 }

@@ -16,20 +16,14 @@ bool finding_less(const Finding& a, const Finding& b) {
 const std::vector<RuleInfo>& rule_catalog() {
   static const std::vector<RuleInfo> catalog = {
       {"baseline-stale-entry",
-       "a ratcheting baseline entry (hotpath or interproc) matches no current finding; the "
-       "ratchet only shrinks, so delete it"},
+       "a hotpath baseline entry matches no current finding; the ratchet only shrinks, so "
+       "delete it"},
       {"contract-coverage",
        "public header function whose definition carries no UPN_REQUIRE/UPN_ENSURE and no "
        "upn-contract-waive(reason) marker"},
-      {"contract-violated-call",
-       "an integer-literal argument at a resolved call site provably violates the callee's "
-       "UPN_REQUIRE precondition"},
       {"dead-function",
        "a free src/ function whose name is never referenced outside its own declarations "
        "anywhere in the analyzed tree"},
-      {"dtor-may-throw",
-       "a destructor (implicitly noexcept) with a reachable throw path; an escaping "
-       "exception terminates the process"},
       {"float-equality",
        "exact ==/!= against a floating-point literal; compare with a tolerance"},
       {"hotpath-alloc",
@@ -41,9 +35,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"hotpath-container",
        "std::deque/std::map/std::list in a hotpath-declared module; prefer node-indexed "
        "vectors or flat arrays"},
-      {"hotpath-unchecked-entry",
-       "a public uncontracted function in a hotpath-declared module called from another "
-       "module; the paper's bounds hold only when callers establish preconditions"},
       {"hotpath-virtual",
        "virtual dispatch declared in a hotpath-declared module; inner loops need "
        "inlinable calls"},
@@ -59,9 +50,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"layering-unknown-module",
        "a src/ module missing from docs/ARCHITECTURE.layers"},
       {"layers-malformed", "unparseable line in the layers file"},
-      {"lock-order-cycle",
-       "the observed held-before relation over mutexes is cyclic; two threads taking the "
-       "locks in opposite order deadlock"},
       {"narrowing-cast",
        "static_cast to a narrower integer type with no adjacent contract establishing the "
        "range"},
@@ -71,9 +59,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"no-std-rand", "rand()/srand() are not reproducible across platforms; use upn::Rng"},
       {"no-unseeded-rng",
        "std:: random engines break seed-reproducibility; thread an explicit upn::Rng"},
-      {"noexcept-may-throw",
-       "a noexcept function with a reachable throw path (throw, contract macros in throw "
-       "mode, or allocation); an escaping exception terminates the process"},
       {"par-shared-mutation",
        "a by-reference captured variable is written inside a parallel task without "
        "index-disjoint writes, atomics, or a lock"},
@@ -96,12 +81,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"taint-unordered-order",
        "a value carrying unordered-container iteration order flows into a deterministic "
        "sink; sort first or use std::map"},
-      {"task-blocking-call",
-       "a lock acquisition or condition-variable wait reachable from a ThreadPool task "
-       "body; blocked workers stall the pool"},
-      {"task-blocking-io",
-       "file/stream IO reachable from a ThreadPool task body; IO latency stalls a pool "
-       "worker"},
       {"thread-detach",
        "detached threads outlive their resources and break deterministic joins"},
       {"unused-include",

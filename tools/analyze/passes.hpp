@@ -1,6 +1,6 @@
 // upn_analyze pass families over the shared IR (tools/analyze/ir.hpp).
 //
-// Seven groups, one Finding vocabulary:
+// Eight groups, one Finding vocabulary:
 //
 //   * single-file rules (source_rules.cpp) -- the upn_lint source rules
 //     ported onto the IR plus the flow-sensitive token rules (Rng taken by
@@ -29,6 +29,8 @@
 //     shrink-only baseline (tools/analyze/hotpath.baseline).
 //   * include hygiene (include_hygiene.cpp) -- quoted includes from whose
 //     transitive declaration set the includer uses nothing.
+//   * dead functions (dead_function.cpp) -- free src/ functions whose name
+//     nothing in the analyzed tree references.
 //
 // Every pass is pure (IR in, findings out) and thread-safe by construction;
 // the engine owns ordering: findings are merged and sorted by
@@ -46,8 +48,6 @@
 #include "tools/analyze/ir.hpp"
 
 namespace upn::analyze {
-
-struct CallGraph;  // tools/analyze/callgraph.hpp
 
 struct Finding {
   std::string file;
@@ -163,56 +163,14 @@ struct LayerSpec {
 /// as `baseline-stale-entry` so the file cannot rot.
 [[nodiscard]] std::string render_hotpath_baseline(const std::vector<Finding>& findings);
 
-// ---- interprocedural (pass families 8-11, over the call graph) ------------
+// ---- dead functions -------------------------------------------------------
 
-/// (8) Lock order and task blocking:
-///   lock-order-cycle    the observed held-before relation over mutexes --
-///                       direct nested acquisitions plus lock summaries
-///                       propagated over resolved call edges -- contains a
-///                       cycle (reported once, at the smallest witness site)
-///   task-blocking-call  a lock acquisition or condition-variable wait
-///                       reachable from a ThreadPool task body
-///   task-blocking-io    file/stream IO reachable from a task body
-/// Findings are limited to src/ modules; util and obs are exempt as blocking
-/// sites (the pool itself and the obs counters serialize by design).
-[[nodiscard]] std::vector<Finding> run_lock_order_pass(const CallGraph& graph,
-                                                       const std::vector<Unit>& units);
-
-/// (9) Contract propagation:
-///   contract-violated-call   an integer-literal argument provably violates
-///                            the callee's UPN_REQUIRE comparison facts
-///   hotpath-unchecked-entry  a public, multi-statement, uncontracted
-///                            function in a hotpath-declared module with a
-///                            resolved caller in another module
-[[nodiscard]] std::vector<Finding> run_contract_propagation_pass(
-    const CallGraph& graph, const std::vector<Unit>& units, const LayerSpec& spec);
-
-/// (10) Exception safety: may-throw summaries (throw, contract macros in
-/// their default throw mode, allocations) propagated through non-noexcept
-/// callees and across task edges (the pool rethrows task exceptions):
-///   noexcept-may-throw  a noexcept function with a reachable throw
-///   dtor-may-throw      a (defaulted-noexcept) destructor that can throw
-[[nodiscard]] std::vector<Finding> run_exception_safety_pass(const CallGraph& graph,
-                                                             const std::vector<Unit>& units);
-
-/// (11) Dead functions: free src/ functions whose name is never referenced
-/// outside their own declarations anywhere in the analyzed tree (CLI, test,
-/// bench, and example roots included):
+/// Free src/ functions (defined at namespace scope, not `main`, not a
+/// member) whose name is never referenced outside its own definitions and
+/// header prototypes anywhere in the analyzed tree (CLI, test, bench, and
+/// example roots included):
 ///   dead-function
-[[nodiscard]] std::vector<Finding> run_dead_function_pass(const CallGraph& graph,
-                                                          const std::vector<Unit>& units);
-
-/// True for the eight rules ratcheted by tools/analyze/interproc.baseline.
-[[nodiscard]] bool is_interproc_rule(const std::string& rule);
-
-/// The ratchet key of an interprocedural finding: "file:rule:detail", the
-/// detail being the first quoted token of the message (same mechanism as the
-/// hotpath baseline, so keys survive line drift).
-[[nodiscard]] std::string interproc_key(const Finding& finding);
-
-/// Renders the shrink-only interproc baseline from the interproc-rule subset
-/// of `findings`.
-[[nodiscard]] std::string render_interproc_baseline(const std::vector<Finding>& findings);
+[[nodiscard]] std::vector<Finding> run_dead_function_pass(const std::vector<Unit>& units);
 
 // ---- include hygiene ------------------------------------------------------
 

@@ -287,151 +287,6 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "  return total;\n"
      "}\n"
      "\n"
-     "inline int hot_entry(int load) {\n"
-     "  int scaled = load * 2;\n"
-     "  return scaled + 1;\n"
-     "}\n"
-     "\n"
-     "}  // namespace demo\n"},
-
-    // Interprocedural lock-order pass.  Clean: both functions take mu_a then
-    // mu_b, and the parallel task touches only its own slot.  Bad: reversed
-    // acquisition order across two functions (lock-order-cycle) plus a task
-    // body that locks through a callee and opens a file (task-blocking-call,
-    // task-blocking-io).
-    {"src/core/lock_discipline.cpp",
-     "namespace demo {\n"
-     "\n"
-     "std::mutex mu_a;\n"
-     "std::mutex mu_b;\n"
-     "int shared_a = 0;\n"
-     "int shared_b = 0;\n"
-     "\n"
-     "void first_then_second() {\n"
-     "  std::lock_guard<std::mutex> ga(mu_a);\n"
-     "  std::lock_guard<std::mutex> gb(mu_b);\n"
-     "  shared_a += 1;\n"
-     "  shared_b += 1;\n"
-     "}\n"
-     "\n"
-     "void also_first_then_second() {\n"
-     "  std::lock_guard<std::mutex> ga(mu_a);\n"
-     "  std::lock_guard<std::mutex> gb(mu_b);\n"
-     "  shared_b += shared_a;\n"
-     "}\n"
-     "\n"
-     "void update_both(Pool& pool, std::vector<int>& out) {\n"
-     "  pool.parallel_for(out.size(), [&](std::size_t i) {\n"
-     "    out[i] += 1;\n"
-     "  });\n"
-     "}\n"
-     "\n"
-     "}  // namespace demo\n",
-     "namespace demo {\n"
-     "\n"
-     "std::mutex mu_a;\n"
-     "std::mutex mu_b;\n"
-     "int shared_a = 0;\n"
-     "\n"
-     "int locked_read() {\n"
-     "  std::lock_guard<std::mutex> ga(mu_a);\n"
-     "  return shared_a;\n"
-     "}\n"
-     "\n"
-     "void lock_ab() {\n"
-     "  std::lock_guard<std::mutex> ga(mu_a);\n"
-     "  std::lock_guard<std::mutex> gb(mu_b);\n"
-     "  shared_a += 1;\n"
-     "}\n"
-     "\n"
-     "void lock_ba() {\n"
-     "  std::lock_guard<std::mutex> gb(mu_b);\n"
-     "  std::lock_guard<std::mutex> ga(mu_a);\n"
-     "  shared_a += 2;\n"
-     "}\n"
-     "\n"
-     "void report_progress(Pool& pool, std::vector<int>& out) {\n"
-     "  pool.parallel_for(out.size(), [&](std::size_t i) {\n"
-     "    out[i] = locked_read();\n"
-     "    std::ofstream log{\"progress.txt\"};\n"
-     "    log << out[i];\n"
-     "  });\n"
-     "}\n"
-     "\n"
-     "}  // namespace demo\n"},
-
-    // Contract-propagation pass.  The callee states a precondition; the clean
-    // caller passes literals that satisfy it, the bad caller passes one that
-    // provably violates it (contract-violated-call).
-    {"src/core/call_contracts.cpp",
-     "namespace demo {\n"
-     "\n"
-     "int scaled_budget(int budget) {\n"
-     "  UPN_REQUIRE(budget >= 0);\n"
-     "  return budget * 2;\n"
-     "}\n"
-     "\n"
-     "int plan_budget() {\n"
-     "  return scaled_budget(12) + scaled_budget(0);\n"
-     "}\n"
-     "\n"
-     "}  // namespace demo\n",
-     "namespace demo {\n"
-     "\n"
-     "int scaled_budget(int budget) {\n"
-     "  UPN_REQUIRE(budget >= 0);\n"
-     "  return budget * 2;\n"
-     "}\n"
-     "\n"
-     "int plan_budget() {\n"
-     "  return scaled_budget(-3);\n"
-     "}\n"
-     "\n"
-     "}  // namespace demo\n"},
-
-    // Exception-safety pass.  Clean: a noexcept chain whose every callee is
-    // itself noexcept, and a destructor that cannot throw.  Bad: a noexcept
-    // function calling a throwing callee (noexcept-may-throw) and a
-    // destructor reaching a throw (dtor-may-throw).
-    {"src/core/noexcept_paths.cpp",
-     "namespace demo {\n"
-     "\n"
-     "inline int halved(int value) noexcept {\n"
-     "  return value / 2;\n"
-     "}\n"
-     "\n"
-     "int stable_sum(const std::vector<int>& values) noexcept {\n"
-     "  int total = 0;\n"
-     "  for (const int v : values) total += halved(v);\n"
-     "  return total;\n"
-     "}\n"
-     "\n"
-     "struct Closer {\n"
-     "  int fd = -1;\n"
-     "  ~Closer() { fd = -1; }\n"
-     "};\n"
-     "\n"
-     "}  // namespace demo\n",
-     "namespace demo {\n"
-     "\n"
-     "inline int risky_half(int value) {\n"
-     "  if (value < 0) throw std::invalid_argument{\"negative\"};\n"
-     "  return value / 2;\n"
-     "}\n"
-     "\n"
-     "int fast_half(int value) noexcept {\n"
-     "  return risky_half(value);\n"
-     "}\n"
-     "\n"
-     "void flush_or_throw(int fd) {\n"
-     "  if (fd < 0) throw std::runtime_error{\"bad fd\"};\n"
-     "}\n"
-     "\n"
-     "struct Flusher {\n"
-     "  int fd = 0;\n"
-     "  ~Flusher() { flush_or_throw(fd); }\n"
-     "};\n"
-     "\n"
      "}  // namespace demo\n"},
 
     // Dead-function pass (bad only): defined, never mentioned anywhere else.
@@ -446,22 +301,17 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
 
     // Liveness anchor: a main() that references every function the trees
     // define on purpose, so dead-function fires only on the orphan above.
-    // The bad variant deliberately omits orphaned_scale and routes one call
-    // into the hot module so hotpath-unchecked-entry has a cross-module
-    // caller.
+    // The bad variant deliberately omits orphaned_scale.
     {"src/core/fixture_main.cpp",
      "namespace demo {\n"
      "\n"
      "int run_all(Pool& pool) {\n"
      "  std::vector<int> data(4, 0);\n"
      "  fill_counts(pool, data, 7);\n"
-     "  update_both(pool, data);\n"
      "  consume(data);\n"
      "  std::unordered_map<int, long> table;\n"
      "  export_totals(table);\n"
-     "  first_then_second();\n"
-     "  also_first_then_second();\n"
-     "  return reseed() + identity(9) + plan_budget() + stable_sum(data);\n"
+     "  return reseed() + identity(9);\n"
      "}\n"
      "\n"
      "}  // namespace demo\n"
@@ -475,13 +325,9 @@ const AnalyzeFixture kAnalyzeFixtures[] = {
      "int poke_everything() {\n"
      "  (void)sizeof(&sum_counts);\n"
      "  (void)sizeof(&run_flow);\n"
-     "  (void)sizeof(&report_progress);\n"
      "  (void)sizeof(&export_totals);\n"
      "  (void)drain(std::vector<long>{});\n"
-     "  lock_ab();\n"
-     "  lock_ba();\n"
-     "  return forty_two() + quiet_level() + clamp_add(1, 2) + hot_entry(3) +\n"
-     "         fast_half(5) + plan_budget();\n"
+     "  return forty_two() + quiet_level() + clamp_add(1, 2);\n"
      "}\n"
      "\n"
      "}  // namespace demo\n"
