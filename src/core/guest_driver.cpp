@@ -19,6 +19,7 @@ std::uint32_t emit_generate_rounds(Protocol* protocol,
   UPN_REQUIRE(protocol == nullptr || lists.size() <= protocol->num_hosts(),
               "generate rounds need one guest list per host");
   if (protocol == nullptr) return rounds;
+  UPN_OBS_SPAN("pebble.emit");
   for (std::uint32_t round = 0; round < rounds; ++round) {
     protocol->begin_step();
     for (std::uint32_t q = 0; q < lists.size(); ++q) {
@@ -100,6 +101,7 @@ void GuestDriver::deliver_all() {
 
 void GuestDriver::emit_route(const RouteResult& routed, std::uint32_t pebble_time) {
   if (protocol_ == nullptr) return;
+  UPN_OBS_SPAN("pebble.emit");
   std::size_t cursor = 0;
   for (std::uint32_t step = 0; step < routed.steps; ++step) {
     protocol_->begin_step();

@@ -32,6 +32,7 @@ double hash_uniform(std::uint64_t seed, std::uint64_t salt) noexcept {
 }  // namespace
 
 void FaultPlan::add_link_fault(const LinkFault& fault) {
+  // upn-contract-waive(validates caller input; a self-loop throws std::invalid_argument)
   if (fault.u == fault.v) {
     throw std::invalid_argument{"FaultPlan: link fault endpoints must differ"};
   }

@@ -116,12 +116,14 @@ ScopedStep::~ScopedStep() {
 }
 
 void set_current_step(std::uint64_t step) noexcept {
+  // upn-contract-waive(every step value is legal; it only tags this thread's error context)
   ThreadSpanState& state = thread_state();
   state.step = step;
   state.has_step = true;
 }
 
 std::string current_span_path() {
+  // upn-contract-waive(pure read of this thread's span stack; no precondition)
   const ThreadSpanState& state = thread_state();
   std::string path;
   const std::size_t frames = state.depth < kMaxSpanDepth ? state.depth : kMaxSpanDepth;
@@ -133,6 +135,7 @@ std::string current_span_path() {
 }
 
 std::string context_suffix() {
+  // upn-contract-waive(the contract layer's context provider: a contract here would re-enter it)
   const ThreadSpanState& state = thread_state();
   const std::size_t frames = state.depth < kMaxSpanDepth ? state.depth : kMaxSpanDepth;
   std::string suffix;
@@ -155,6 +158,7 @@ bool trace_enabled() noexcept {
 }
 
 void start_trace(std::string path) {
+  // upn-contract-waive(any path is legal; an unwritable one makes write_trace return false)
   const std::lock_guard<std::mutex> lock{trace_mutex()};
   TraceSession& s = session();
   s.path = std::move(path);
@@ -165,6 +169,7 @@ void start_trace(std::string path) {
 }
 
 bool init_trace_from_env() {
+  // upn-contract-waive(every UPN_TRACE value is legal; unset or empty leaves tracing off)
   static std::atomic<bool> attempted{false};
   if (attempted.exchange(true, std::memory_order_relaxed)) {
     return trace_enabled();
@@ -184,11 +189,13 @@ bool init_trace_from_env() {
 }
 
 std::string trace_path() {
+  // upn-contract-waive(pure read under the trace lock; no precondition)
   const std::lock_guard<std::mutex> lock{trace_mutex()};
   return trace_enabled() ? session().path : std::string{};
 }
 
 bool write_trace() {
+  // upn-contract-waive(no session or an IO failure is its false result, not a precondition)
   const std::lock_guard<std::mutex> lock{trace_mutex()};
   if (!g_trace_on.load(std::memory_order_relaxed)) return false;
   TraceSession& s = session();
@@ -214,6 +221,7 @@ bool write_trace() {
 }
 
 void stop_trace() {
+  // upn-contract-waive(no precondition: stopping an idle session is a no-op)
   const std::lock_guard<std::mutex> lock{trace_mutex()};
   g_trace_on.store(false, std::memory_order_relaxed);
   TraceSession& s = session();
@@ -223,6 +231,7 @@ void stop_trace() {
 }
 
 std::vector<SpanEvent> trace_events() {
+  // upn-contract-waive(pure copy under the trace lock; no precondition)
   const std::lock_guard<std::mutex> lock{trace_mutex()};
   return session().events;
 }

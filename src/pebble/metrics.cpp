@@ -1,6 +1,7 @@
 #include "src/pebble/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace upn {
@@ -9,45 +10,61 @@ ProtocolMetrics::ProtocolMetrics(const Protocol& protocol)
     : n_(protocol.num_guests()),
       m_(protocol.num_hosts()),
       T_(protocol.guest_steps()),
-      host_steps_(protocol.host_steps()) {
-  holders_.resize(static_cast<std::size_t>(T_) * n_);
-  generators_.resize(static_cast<std::size_t>(T_) * n_);
-  first_gen_.assign(static_cast<std::size_t>(T_) * n_, kNeverGenerated);
+      host_steps_(protocol.host_steps()),
+      words_((protocol.num_hosts() + 63) / 64) {
+  const std::size_t keys = static_cast<std::size_t>(T_) * n_;
+  holders_.assign(keys * words_, 0);
+  generators_.assign(keys * words_, 0);
+  first_gen_.assign(keys, kNeverGenerated);
 
+  // Protocol::add keeps proc < m, node < n and time <= T, so every key and
+  // word below is in range.
   for (std::uint32_t step = 0; step < protocol.host_steps(); ++step) {
     for (const Op& op : protocol.steps()[step]) {
       const PebbleType& p = op.pebble;
-      switch (op.kind) {
-        case OpKind::kSend:
-          break;  // sender already holds it
-        case OpKind::kReceive:
-          if (p.time >= 1) {
-            holders_[index(p.node, p.time - 1)].push_back(op.proc);
-            ++placements_;
-          }
-          break;
-        case OpKind::kGenerate: {
-          if (p.time < 1 || p.time > T_) {
-            throw std::out_of_range{"ProtocolMetrics: generated pebble time out of range"};
-          }
-          holders_[index(p.node, p.time - 1)].push_back(op.proc);
-          ++placements_;
-          generators_[index(p.node, p.time - 1)].push_back(op.proc);
-          auto& first = first_gen_[index(p.node, p.time - 1)];
-          first = std::min(first, step + 1);
-          break;
+      if (op.kind == OpKind::kSend) continue;  // sender already holds it
+      if (p.time < 1) {
+        if (op.kind == OpKind::kGenerate) {
+          throw std::out_of_range{"ProtocolMetrics: generated pebble time out of range"};
         }
+        continue;  // an initial pebble: everyone holds it already
+      }
+      const std::size_t key = index(p.node, p.time - 1);
+      const std::size_t word = key * words_ + op.proc / 64;
+      const std::uint64_t bit = std::uint64_t{1} << (op.proc % 64);
+      holders_[word] |= bit;
+      ++placements_;
+      if (op.kind == OpKind::kGenerate) {
+        generators_[word] |= bit;
+        first_gen_[key] = std::min(first_gen_[key], step + 1);
       }
     }
   }
-  for (auto& list : holders_) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
+  // q_{i,t} once, here: weight() must stay a single load, since without
+  // -mpopcnt std::popcount is a software sequence.
+  weight_.resize(keys);
+  for (std::size_t key = 0; key < keys; ++key) weight_[key] = cardinality(holders_, key);
+}
+
+std::uint32_t ProtocolMetrics::cardinality(const std::vector<std::uint64_t>& sets,
+                                            std::size_t key) const {
+  std::uint32_t count = 0;
+  for (std::uint32_t w = 0; w < words_; ++w) {
+    count += static_cast<std::uint32_t>(std::popcount(sets[key * words_ + w]));
   }
-  for (auto& list : generators_) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
+  return count;
+}
+
+std::vector<std::uint32_t> ProtocolMetrics::members(const std::vector<std::uint64_t>& sets,
+                                                    std::size_t key, std::uint32_t count) const {
+  std::vector<std::uint32_t> out;
+  out.reserve(count);
+  for (std::uint32_t w = 0; w < words_; ++w) {
+    for (std::uint64_t bits = sets[key * words_ + w]; bits != 0; bits &= bits - 1) {
+      out.push_back(w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
+    }
   }
+  return out;
 }
 
 std::vector<std::uint32_t> ProtocolMetrics::representatives(NodeId i, std::uint32_t t) const {
@@ -57,18 +74,20 @@ std::vector<std::uint32_t> ProtocolMetrics::representatives(NodeId i, std::uint3
     return all;
   }
   if (i >= n_ || t > T_) throw std::out_of_range{"representatives: out of range"};
-  return holders_[index(i, t - 1)];
+  const std::size_t key = index(i, t - 1);
+  return members(holders_, key, weight_[key]);
 }
 
 std::uint32_t ProtocolMetrics::weight(NodeId i, std::uint32_t t) const {
   if (t == 0) return m_;
   if (i >= n_ || t > T_) throw std::out_of_range{"weight: out of range"};
-  return static_cast<std::uint32_t>(holders_[index(i, t - 1)].size());
+  return weight_[index(i, t - 1)];
 }
 
 std::vector<std::uint32_t> ProtocolMetrics::generators(NodeId i, std::uint32_t t) const {
   if (i >= n_ || t >= T_) throw std::out_of_range{"generators: out of range"};
-  return generators_[index(i, t)];
+  const std::size_t key = index(i, t);
+  return members(generators_, key, cardinality(generators_, key));
 }
 
 std::uint32_t ProtocolMetrics::first_generation_step(NodeId i, std::uint32_t t) const {

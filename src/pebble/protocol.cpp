@@ -11,7 +11,13 @@ Protocol::Protocol(std::uint32_t num_guests, std::uint32_t num_hosts,
       guest_steps_(guest_steps),
       proc_used_step_(num_hosts, 0) {}
 
-void Protocol::begin_step() { steps_.emplace_back(); }
+void Protocol::begin_step() {
+  // Consecutive host steps carry similar op counts, so the previous step's
+  // count spares the growth reallocations, and the total over-reservation
+  // stays below the total op count, the same bound doubling gives.
+  const std::size_t expected = steps_.empty() ? 0 : steps_.back().size();
+  steps_.emplace_back().reserve(expected);
+}
 
 void Protocol::add(const Op& op) {
   UPN_REQUIRE(!steps_.empty(), "Protocol::add: begin_step() first");

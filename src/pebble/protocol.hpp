@@ -47,7 +47,7 @@ class Protocol {
  public:
   Protocol(std::uint32_t num_guests, std::uint32_t num_hosts, std::uint32_t guest_steps);
 
-  /// Opens a new host time step.
+  /// Opens a new host time step, reserving the previous step's op count.
   void begin_step();
 
   /// Adds an operation to the current host step.

@@ -89,7 +89,7 @@ std::string describe(const Op& op) {
 
 }  // namespace
 
-ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,  // upn-analyze-waive(hotpath-unchecked-entry: this IS the validator; every input is legal and yields a verdict)
+ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
                                    const Graph& host) {
   UPN_OBS_SPAN("pebble.validator.replay");
   UPN_OBS_COUNT("pebble.validator.validations", 1);
@@ -152,17 +152,18 @@ ValidationResult validate_protocol(const Protocol& protocol, const Graph& guest,
         case OpKind::kSend:
           break;
         case OpKind::kReceive: {
-          if (!host.has_edge(op.proc, op.partner)) {
-            return fail("step " + std::to_string(step) + ": " + describe(op) +
-                        ": partner is not a host neighbor");
-          }
-          // The partner's only op this step must be the mirrored SEND.
+          // The partner's only op this step must be the mirrored SEND.  A
+          // matched SEND passed the first pass's has_edge(partner, proc),
+          // and host edges are symmetric, so the edge is looked up only on
+          // the way to a rejection, which still names the edge first.
           const Stamp& s = stamps[op.partner];
           const Op* send = s.step == stamp ? &ops[s.index] : nullptr;
           if (send == nullptr || send->kind != OpKind::kSend || send->partner != op.proc ||
               send->pebble != op.pebble) {
             return fail("step " + std::to_string(step) + ": " + describe(op) +
-                        ": no matching send from partner");
+                        (host.has_edge(op.proc, op.partner)
+                             ? ": no matching send from partner"
+                             : ": partner is not a host neighbor"));
           }
           if (op.pebble.time != 0) {
             holdings[op.proc].set((op.pebble.time - 1) * n + op.pebble.node);

@@ -25,7 +25,7 @@ class ButterflyBitfixPolicy final : public RoutingPolicy {
  public:
   explicit ButterflyBitfixPolicy(std::uint32_t dimension) : layout_{dimension, false} {}
 
-  void prepare(const Graph& graph, std::vector<Packet>& packets) override;
+  void prepare(const Graph& graph, std::vector<Packet>& packets) override;  // upn-analyze-waive(contract-coverage: validates the host; a wrong one throws std::invalid_argument)
   [[nodiscard]] NodeId next_hop(const Graph& graph, NodeId at, const Packet& packet) override;
   [[nodiscard]] std::string name() const override { return "bitfix"; }
 

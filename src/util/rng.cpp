@@ -7,6 +7,7 @@ __extension__ typedef unsigned __int128 upn_uint128;
 namespace upn {
 
 std::uint64_t Rng::below(std::uint64_t bound) noexcept {
+  // upn-contract-waive(every bound is legal, 0 and 1 give 0; the per-draw hot path of every seeded choice)
   if (bound <= 1) return 0;
 #ifdef __SIZEOF_INT128__
   // Lemire's nearly-divisionless bounded sampling.

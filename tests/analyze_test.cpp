@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -151,6 +153,92 @@ TEST(AnalyzeIr, PrivateMembersAreNotPublic) {
     }
   }
   EXPECT_TRUE(saw_private);
+}
+
+const Declaration* find_decl(const Unit& unit, const std::string& name,
+                             DeclKind kind = DeclKind::kFunction) {
+  for (const Declaration& d : unit.decls) {
+    if (d.name == name && d.kind == kind) return &d;
+  }
+  return nullptr;
+}
+
+TEST(AnalyzeIr, IndexingResumesAfterAnOutOfLineDestructor) {
+  const Unit unit = build_unit("src/core/demo.cpp",
+                               "namespace demo {\n"
+                               "Foo::~Foo() { }\n"
+                               "int after(int a) {\n"
+                               "  return a;\n"
+                               "}\n"
+                               "}\n");
+  const Declaration* after = find_decl(unit, "after");
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->line, 3u);
+  EXPECT_TRUE(after->has_body);
+  EXPECT_EQ(after->body_statements, 1u);
+}
+
+TEST(AnalyzeIr, MemberInitializerListsAndInClassBodiesEndTheirStatement) {
+  // Brace-initialized members belong to the constructor's head, and an
+  // in-class constructor, destructor or operator body ends its statement.
+  const Unit unit = build_unit("src/core/demo.cpp",
+                               "namespace demo {\n"
+                               "class Box {\n"
+                               " public:\n"
+                               "  explicit Box(int v) : v_{v}, w_(v) { reset(); }\n"
+                               "  ~Box() { reset(); }\n"
+                               "  int operator()() const { return v_ + w_; }\n"
+                               "  int get(int a) const {\n"
+                               "    int b = a + v_;\n"
+                               "    return b;\n"
+                               "  }\n"
+                               " private:\n"
+                               "  int v_;\n"
+                               "  int w_;\n"
+                               "};\n"
+                               "Box::Box(int v, int w) : v_{v}, w_{w} {\n"
+                               "  UPN_REQUIRE(v >= 0);\n"
+                               "}\n"
+                               "int after(int a) {\n"
+                               "  int b = a;\n"
+                               "  return b;\n"
+                               "}\n"
+                               "}\n");
+  const Declaration* get = find_decl(unit, "get");
+  ASSERT_NE(get, nullptr);
+  EXPECT_EQ(get->line, 7u);
+  EXPECT_TRUE(get->is_public);
+  EXPECT_EQ(get->body_statements, 2u);
+  const Declaration* after = find_decl(unit, "after");
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->line, 18u);
+  EXPECT_EQ(after->body_statements, 2u);
+  // The out-of-line constructor's body is its last brace group, not {v}.
+  const Declaration* ctor = find_decl(unit, "Box");
+  ASSERT_NE(ctor, nullptr);
+  EXPECT_TRUE(ctor->has_contract);
+  // Neither a call inside a skipped body nor an operator becomes a function.
+  EXPECT_EQ(find_decl(unit, "reset"), nullptr);
+  EXPECT_EQ(find_decl(unit, "operator"), nullptr);
+}
+
+TEST(AnalyzeIr, IndexesEveryTraceFunctionOfSpanCpp) {
+  // span.cpp defines its functions after ScopedStep's out-of-line
+  // constructor and destructor; every one of them must be indexed.
+  const std::string path = std::string{UPN_SOURCE_ROOT} + "/src/obs/span.cpp";
+  std::ifstream in{path};
+  ASSERT_TRUE(in) << path;
+  std::stringstream content;
+  content << in.rdbuf();
+  const Unit unit = build_unit("src/obs/span.cpp", content.str());
+  for (const char* name : {"set_current_step", "current_span_path", "context_suffix",
+                           "trace_enabled", "start_trace", "init_trace_from_env", "trace_path",
+                           "write_trace", "stop_trace", "trace_events"}) {
+    const Declaration* d = find_decl(unit, name);
+    ASSERT_NE(d, nullptr) << name;
+    EXPECT_TRUE(d->has_body) << name;
+    EXPECT_GT(d->line, 104u) << name;
+  }
 }
 
 // ---- single-file rules (ported + flow) ------------------------------------

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
+#include <vector>
 
 #include "src/pebble/protocol.hpp"
 #include "src/pebble/validator.hpp"
@@ -138,6 +140,41 @@ TEST(Validator, RejectsSendToNonNeighbor) {
   const ValidationResult result = validate_protocol(protocol, triangle(), make_path(3));
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("neighbor"), std::string::npos);
+}
+
+/// The verdict on host path(3), Q0-Q1-Q2, of one step holding `ops`.
+std::string one_step_error(const std::vector<Op>& ops) {
+  Protocol protocol{3, 3, 1};
+  protocol.begin_step();
+  for (const Op& op : ops) protocol.add(op);
+  const ValidationResult result = validate_protocol(protocol, triangle(), make_path(3));
+  EXPECT_FALSE(result.ok);
+  return result.error;
+}
+
+TEST(Validator, ReceiveFromNonNeighborIsNamedAsSuch) {
+  // Q2 receives from Q0, which is not its neighbour: the partner idles, or
+  // sends a legal copy to Q1 in the same step.
+  const Op receive{OpKind::kReceive, 2, PebbleType{0, 0}, 0};
+  const std::string expected = "step 0: receive(P0,0) at proc 2: partner is not a host neighbor";
+  const std::string alone = one_step_error({receive});
+  EXPECT_EQ(alone.rfind(expected, 0), 0u) << alone;
+  const std::vector<Op> with_send{receive, Op{OpKind::kSend, 0, PebbleType{0, 0}, 1},
+                                  Op{OpKind::kReceive, 1, PebbleType{0, 0}, 0}};
+  const std::string beside_send = one_step_error(with_send);
+  EXPECT_EQ(beside_send.rfind(expected, 0), 0u) << beside_send;
+}
+
+TEST(Validator, ReceiveFromNeighborWithoutItsSendIsNamedAsSuch) {
+  // Q0 receives from its neighbour Q1, which idles, or sends to Q2 instead.
+  const Op receive{OpKind::kReceive, 0, PebbleType{0, 0}, 1};
+  const std::string expected = "step 0: receive(P0,0) at proc 0: no matching send from partner";
+  const std::string alone = one_step_error({receive});
+  EXPECT_EQ(alone.rfind(expected, 0), 0u) << alone;
+  const std::vector<Op> with_send{receive, Op{OpKind::kSend, 1, PebbleType{0, 0}, 2},
+                                  Op{OpKind::kReceive, 2, PebbleType{0, 0}, 1}};
+  const std::string beside_send = one_step_error(with_send);
+  EXPECT_EQ(beside_send.rfind(expected, 0), 0u) << beside_send;
 }
 
 TEST(Validator, InitialPebblesAreEverywhere) {

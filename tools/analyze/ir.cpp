@@ -267,7 +267,8 @@ struct DeclParser {
 
   /// Index of the function name in stmt head [begin, end): the first
   /// identifier directly followed by '(' outside template angles, with at
-  /// least one preceding token (the return type).  npos when none.
+  /// least one preceding token (the return type).  npos when none, and for
+  /// destructors and operators, which are never indexed.
   [[nodiscard]] std::size_t function_name_index(std::size_t begin, std::size_t end) const {
     int angle = 0;
     int paren = 0;
@@ -286,6 +287,7 @@ struct DeclParser {
         continue;
       }
       if (angle > 0) continue;
+      if (t == "operator") return std::string::npos;  // operator or conversion
       if (toks[k].kind == TokenKind::kIdent && k + 1 < end && tok(k + 1) == "(" &&
           k > begin && !is_control_keyword(t)) {
         if (tok(k - 1) == "~") return std::string::npos;  // destructor
@@ -392,6 +394,47 @@ struct DeclParser {
     }
   }
 
+  /// True when the '{' at `open` inside head [begin, open) brace-initializes
+  /// a member in a constructor's initializer list (`) : v_{x}, w_{y} {`):
+  /// it directly follows a name, after a top-level ':' that directly
+  /// follows the parameter list or its `noexcept`.  Such a group belongs to
+  /// the head, not the body.
+  [[nodiscard]] bool is_member_brace_init(std::size_t begin, std::size_t open) const {
+    if (open == begin || !(toks[open - 1].kind == TokenKind::kIdent || tok(open - 1) == ">")) {
+      return false;
+    }
+    int paren = 0;
+    for (std::size_t k = begin + 1; k < open; ++k) {
+      const std::string& t = tok(k);
+      if (t == "(") ++paren;
+      if (t == ")" && paren > 0) --paren;
+      if (t == ":" && paren == 0 && (tok(k - 1) == ")" || tok(k - 1) == "noexcept")) return true;
+    }
+    return false;
+  }
+
+  /// True when head [begin, end) declares a function that the definition
+  /// branch does not index -- a constructor, destructor, operator or
+  /// macro-spelled definition -- so its brace group is a body and the
+  /// statement ends at its '}' with no ';' to follow.  An initializer
+  /// (`= {...}`, `= [] {...}`, `T x{...}`) has a top-level '=' before any
+  /// `operator`, or no parameter list at all.
+  [[nodiscard]] bool is_body_head(std::size_t begin, std::size_t end) const {
+    int paren = 0;
+    bool params = false;
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::string& t = tok(k);
+      if (t == "operator") return true;
+      if (t == "(") {
+        ++paren;
+        params = true;
+      }
+      if (t == ")" && paren > 0) --paren;
+      if (t == "=" && paren == 0) return false;
+    }
+    return params;
+  }
+
   /// Parses one brace scope (namespace, class, or the whole file).
   void parse_scope(const std::string& class_name, bool in_class, bool public_default) {
     bool is_public = public_default;
@@ -425,6 +468,10 @@ struct DeclParser {
       }
       if (t != "{") {
         ++i;
+        continue;
+      }
+      if (is_member_brace_init(stmt_begin, i)) {
+        i = skip_group(toks, i);
         continue;
       }
       // '{' at paren depth 0: classify the head [stmt_begin, i).
@@ -487,13 +534,12 @@ struct DeclParser {
         stmt_begin = i;
         continue;
       }
-      // Constructor definition, initializer list, lambda initializer, array
-      // initializer, ...: skip the braces and let the ';' branch finish the
-      // statement.
-      bool ignored_contract = false;
-      std::size_t ignored_statements = 0;
-      std::size_t ignored_line = 0;
-      skip_braces(ignored_contract, ignored_statements, ignored_line);
+      // Constructor, destructor or operator body: the statement ends here.
+      // Initializer list, lambda initializer, array initializer, ...: let
+      // the ';' branch finish the statement.
+      const bool body = is_body_head(head_begin, head_end);
+      i = skip_group(toks, i);
+      if (body) stmt_begin = i;
     }
     // File scope may end without a closing '}': flush the tail statement.
     classify_statement(stmt_begin, i, class_name, is_public);
